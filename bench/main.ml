@@ -614,23 +614,23 @@ let explore_bench () =
     queries := Core.Random_gen.generate ~min_ops:5 ~max_ops:8 ctx :: !queries
   done;
   let queries = List.rev !queries in
-  let options memoize =
-    { Optimizer.Engine.default_options with max_trees = 1200; memoize }
-  in
-  let time memoize =
+  let options = { Optimizer.Engine.default_options with max_trees = 1200 } in
+  let time optimize =
     let t0 = now () in
     let trees =
       List.fold_left
         (fun acc q ->
-          match Optimizer.Engine.optimize ~options:(options memoize) cat q with
-          | Ok r -> acc + r.trees_explored
+          match optimize q with
+          | Ok (r : Optimizer.Engine.result) -> acc + r.trees_explored
           | Error _ -> acc)
         0 queries
     in
     (now () -. t0, trees)
   in
-  let plain_s, plain_trees = time false in
-  let memo_s, memo_trees = time true in
+  let plain_s, plain_trees =
+    time (Optimizer.Engine.Reference.optimize ~options cat)
+  in
+  let memo_s, memo_trees = time (Optimizer.Engine.optimize ~options cat) in
   assert (plain_trees = memo_trees);
   let speedup = plain_s /. Float.max 1e-9 memo_s in
   Printf.printf
@@ -651,12 +651,31 @@ let matrix_bench ~full ~disk =
   let suite, _, _ = get_pair_suite ~full framework in
   let nt = List.length suite.targets in
   let nq = Array.length suite.entries in
-  (* With --cache-dir the first [run] spills the matrix and later runs
-     (including a whole later bench process) are served warm — the CI
-     warm-start job diffs exactly these timings and edge-cost sums. *)
-  let run share =
+  (* The per-edge reference: one full [Cost(q, not R)] optimization per
+     edge, computed directly and never cached. *)
+  let per_edge () =
     F.reset_invocations framework;
-    let ec = C.edge_costs ~share_exploration:share ?disk framework suite in
+    let t0 = now () in
+    let total = ref 0.0 in
+    List.iter
+      (fun target ->
+        let disabled = Su.rules_of target in
+        Array.iter
+          (fun (e : Su.entry) ->
+            match F.cost framework ~disabled e.query with
+            | Ok c when Float.is_finite c -> total := !total +. c
+            | Ok _ | Error _ -> ())
+          suite.entries)
+      suite.targets;
+    (now () -. t0, !total, F.invocations framework)
+  in
+  (* The production service. With --cache-dir the first run spills the
+     matrix and later runs (a whole later bench process) are served
+     warm — the CI warm-start job diffs exactly these timings and
+     edge-cost sums. *)
+  let shared () =
+    F.reset_invocations framework;
+    let ec = C.edge_costs ?disk framework suite in
     let t0 = now () in
     let total = ref 0.0 in
     for ti = 0 to nt - 1 do
@@ -666,17 +685,17 @@ let matrix_bench ~full ~disk =
       done
     done;
     C.save_matrix ec;
-    (now () -. t0, !total, C.invocations_used ec, F.invocations framework)
+    (now () -. t0, !total, F.invocations framework)
   in
-  let per_s, per_total, per_edges, per_inv = run false in
-  let sh_s, sh_total, sh_edges, sh_inv = run true in
+  let per_s, per_total, per_inv = per_edge () in
+  let sh_s, sh_total, sh_inv = shared () in
+  let per_edges = nt * nq in
   let speedup = per_s /. Float.max 1e-9 sh_s in
   Printf.printf
     "  %d targets x %d queries = %d edges\n  per-edge optimization   %7.3fs  (%d optimizer runs)\n  shared exploration      %7.3fs  (%d optimizer runs)\n  speedup                 %6.1fx   edge-cost sum delta %+.3f%%\n"
     nt nq per_edges per_s per_inv sh_s sh_inv speedup
     (if per_total = 0.0 then 0.0
      else 100.0 *. (sh_total -. per_total) /. per_total);
-  ignore sh_edges;
   detail "matrix"
     (Obs.Json.Obj
        [ ("targets", Obs.Json.Int nt);
@@ -1040,11 +1059,11 @@ let parallel_bench ~full ~jobs_list =
                 rows) ) ])
 
 (* ------------------------------------------------------------------ *)
-(* Executor: compiled plans vs interpretation; plan-result cache       *)
+(* Executor: batch kernels vs interpretation; plan-result cache       *)
 (* ------------------------------------------------------------------ *)
 
 let execute_bench ~full =
-  header "Execute: batch kernels vs row-compiled closures vs interpretation";
+  header "Execute: batch kernels vs interpretation";
   let cat = Lazy.force catalog in
   (* Throughput wants enough rows that per-row work dominates per-plan
      setup; the shared bench catalog is deliberately tiny, so this
@@ -1182,7 +1201,7 @@ let execute_bench ~full =
         (* Scalar-dominated: no filter, no sort — nearly all the work is
            deep arithmetic over every lineitem row, which is where batch
            kernels (unboxed columns + per-morsel subtree sharing) pull
-           furthest ahead of per-row closures. *)
+           furthest ahead of per-row evaluation. *)
         P.HashAggregate
           { keys = [ I.make "l" "l_returnflag" ];
             aggs =
@@ -1239,14 +1258,12 @@ let execute_bench ~full =
       Printf.eprintf "execute bench: %s failed: %s\n%!" what e;
       exit 2
   in
-  Printf.printf "  %-26s %10s | %11s %11s %11s | %8s %8s %6s\n" "plan"
-    "src rows/rep" "interp r/s" "rowcomp r/s" "batch r/s" "vs intrp" "vs rowc"
-    "agree";
+  Printf.printf "  %-26s %10s | %11s %11s | %8s %6s\n" "plan" "src rows/rep"
+    "interp r/s" "batch r/s" "vs intrp" "agree";
   hr ();
   let per_plan = ref [] in
   let all_agree = ref true in
-  let tot_rows = ref 0 and tot_isec = ref 0.0 and tot_rsec = ref 0.0 in
-  let tot_csec = ref 0.0 in
+  let tot_rows = ref 0 and tot_isec = ref 0.0 and tot_csec = ref 0.0 in
   List.iter
     (fun (name, plan) ->
       let time_path what f =
@@ -1258,48 +1275,38 @@ let execute_bench ~full =
       let isec, ires =
         time_path "interpreted" (fun () -> Executor.Exec.run_interpreted xcat plan)
       in
-      let rsec, rres =
-        time_path "row-compiled" (fun () -> Executor.Exec.run_rowwise xcat plan)
-      in
       let csec, cres = time_path "batch" (fun () -> Executor.Exec.run xcat plan) in
       let rows = source_rows plan in
-      let agree = RS.equal_bag ires cres && RS.equal_bag rres cres in
+      let agree = RS.equal_bag ires cres in
       all_agree := !all_agree && agree;
       tot_rows := !tot_rows + (rows * reps);
       tot_isec := !tot_isec +. isec;
-      tot_rsec := !tot_rsec +. rsec;
       tot_csec := !tot_csec +. csec;
       let rps sec = float_of_int (rows * reps) /. Float.max 1e-9 sec in
       let speedup = isec /. Float.max 1e-9 csec in
-      let vs_rowc = rsec /. Float.max 1e-9 csec in
-      Printf.printf "  %-26s %10d | %11.0f %11.0f %11.0f | %7.2fx %7.2fx %6b\n%!"
-        name rows (rps isec) (rps rsec) (rps csec) speedup vs_rowc agree;
+      Printf.printf "  %-26s %10d | %11.0f %11.0f | %7.2fx %6b\n%!" name rows
+        (rps isec) (rps csec) speedup agree;
       per_plan :=
         ( name,
           Obs.Json.Obj
             [ ("source_rows_per_rep", Obs.Json.Int rows);
               ("output_rows", Obs.Json.Int (RS.row_count cres));
               ("interpreted_seconds", Obs.Json.Float isec);
-              ("rowcompiled_seconds", Obs.Json.Float rsec);
               ("compiled_seconds", Obs.Json.Float csec);
               ("interpreted_rows_per_sec", Obs.Json.Float (rps isec));
-              ("rowcompiled_rows_per_sec", Obs.Json.Float (rps rsec));
               ("compiled_rows_per_sec", Obs.Json.Float (rps csec));
               ("speedup", Obs.Json.Float speedup);
-              ("batch_speedup_vs_rowcompiled", Obs.Json.Float vs_rowc);
               ("agree", Obs.Json.Bool agree) ] )
         :: !per_plan)
     plans;
   hr ();
   let overall = !tot_isec /. Float.max 1e-9 !tot_csec in
   let overall_irps = float_of_int !tot_rows /. Float.max 1e-9 !tot_isec in
-  let overall_rrps = float_of_int !tot_rows /. Float.max 1e-9 !tot_rsec in
   let overall_crps = float_of_int !tot_rows /. Float.max 1e-9 !tot_csec in
-  let overall_vs_rowc = !tot_rsec /. Float.max 1e-9 !tot_csec in
   Printf.printf
-    "  overall: interpreter %.0f rows/s, row-compiled %.0f rows/s, batch %.0f \
-     rows/s — %.2fx vs interpreter, %.2fx vs row-compiled (agree on all plans: %b)\n"
-    overall_irps overall_rrps overall_crps overall overall_vs_rowc !all_agree;
+    "  overall: interpreter %.0f rows/s, batch %.0f rows/s — %.2fx vs \
+     interpreter (agree on all plans: %b)\n"
+    overall_irps overall_crps overall !all_agree;
 
   (* Result cache: run a small fault-injected validate + reduce with
      metrics on and read back the executor's cache counters. Reduction
@@ -1344,10 +1351,8 @@ let execute_bench ~full =
          ("scale", Obs.Json.Float xscale);
          ("agree", Obs.Json.Bool !all_agree);
          ("interpreted_rows_per_sec", Obs.Json.Float overall_irps);
-         ("rowcompiled_rows_per_sec", Obs.Json.Float overall_rrps);
          ("compiled_rows_per_sec", Obs.Json.Float overall_crps);
          ("speedup", Obs.Json.Float overall);
-         ("batch_speedup_vs_rowcompiled", Obs.Json.Float overall_vs_rowc);
          ("compile_ns_mean", Obs.Json.Float compile_ns);
          ( "result_cache",
            Obs.Json.Obj

@@ -3,7 +3,6 @@ type edge_costs = {
   suite : Suite.t;
   targets : Suite.target array;
   memo : (int * int, float) Hashtbl.t;
-  share : bool;
   shared : Framework.shared option option array;
       (* per query index: None = not explored yet; Some None = shared
          exploration failed, use the per-call path for this query *)
@@ -72,8 +71,7 @@ let matrix_key fw (suite : Suite.t) =
 
 let disk_loaded_c = Obs.Metrics.counter "compress.matrix.disk_edges_loaded"
 
-let edge_costs ?(share_exploration = true) ?disk ?(warm_edges = []) fw
-    (suite : Suite.t) =
+let edge_costs ?disk ?(warm_edges = []) fw (suite : Suite.t) =
   let warm = Hashtbl.create 256 in
   let disk =
     match disk with
@@ -99,7 +97,6 @@ let edge_costs ?(share_exploration = true) ?disk ?(warm_edges = []) fw
     suite;
     targets = Array.of_list suite.targets;
     memo = Hashtbl.create 256;
-    share = share_exploration;
     shared = Array.make (Array.length suite.entries) None;
     calls = 0;
     computed_c = Obs.Metrics.counter "compress.edge_cost.computed";
@@ -133,61 +130,76 @@ let record_deps ec query_idx matched =
     Hashtbl.replace ec.deps query_idx
       (List.sort_uniq String.compare (List.rev_append matched prev))
 
-let shared_for ec query_idx =
-  match ec.shared.(query_idx) with
-  | Some r -> r
-  | None ->
-    let r =
-      match Framework.explore_shared ec.fw ec.suite.entries.(query_idx).query with
-      | Ok sh -> Some sh
-      | Error _ -> None
+(* Warm edge: served straight into the memo — no exploration — with the
+   same logical-work accounting a computed edge gets. *)
+let serve_warm ec p c =
+  ec.calls <- ec.calls + 1;
+  Obs.Metrics.incr ec.disk_served_c;
+  ec.warm_n <- ec.warm_n + 1;
+  Hashtbl.replace ec.memo p c
+
+(* [Cost(q, ¬R)] for query [qi] against each target of [tis]: a filtered
+   re-costing pass over the query's one shared exploration (explored here
+   unless [ec.shared] already holds it), or one full optimization per
+   edge when that exploration failed. Runs under a matched-rule
+   collector, so the returned deps are the column's dependency set:
+   every rule whose body the exploration or a per-call fallback could
+   have consulted. Writes nothing in [ec] (only the framework's atomic
+   counters), so [prefetch] workers can run it in parallel;
+   [store_column] merges the result. *)
+let compute_column ec qi tis =
+  let (sh, edges), deps =
+    Framework.with_matched @@ fun () ->
+    let query = ec.suite.entries.(qi).query in
+    let sh =
+      match ec.shared.(qi) with
+      | Some r -> r
+      | None -> Result.to_option (Framework.explore_shared ec.fw query)
     in
-    ec.shared.(query_idx) <- Some r;
-    r
+    let cost_of ti =
+      let disabled = Suite.rules_of ec.targets.(ti) in
+      match
+        match sh with
+        | Some sh -> Framework.shared_cost ec.fw ~disabled sh
+        | None -> Framework.cost ec.fw ~disabled query
+      with
+      | Ok c -> c
+      | Error _ -> Float.infinity
+    in
+    (sh, List.map (fun ti -> (ti, cost_of ti)) tis)
+  in
+  (qi, sh, edges, deps)
+
+(* [calls] counts computed edges — the paper's abstract unit of optimizer
+   work (Figure 14) — regardless of how an edge is served: a filtered
+   re-costing pass over the query's one shared exploration, a full
+   [Cost(q, negated R)] optimization, or a warm edge loaded from a prior
+   run's spilled matrix. The concrete invocation count is
+   [Framework.invocations]. *)
+let store_column ec (qi, sh, edges, deps) =
+  if ec.shared.(qi) = None then ec.shared.(qi) <- Some sh;
+  record_deps ec qi deps;
+  List.iter
+    (fun (ti, c) ->
+      if not (Hashtbl.mem ec.memo (ti, qi)) then begin
+        ec.calls <- ec.calls + 1;
+        Obs.Metrics.incr ec.computed_c;
+        ec.computed_n <- ec.computed_n + 1;
+        Hashtbl.replace ec.memo (ti, qi) c
+      end)
+    edges
 
 let edge_cost ec ~target_idx ~query_idx =
-  match Hashtbl.find_opt ec.memo (target_idx, query_idx) with
+  let p = (target_idx, query_idx) in
+  match Hashtbl.find_opt ec.memo p with
   | Some c ->
     Obs.Metrics.incr ec.memo_hit_c;
     c
-  | None -> (
-    (* [calls] counts computed edges — the paper's abstract unit of
-       optimizer work (Figure 14) — regardless of how an edge is served:
-       a full [Cost(q, negated R)] optimization, a filtered re-costing
-       pass over the query's one shared exploration, or a warm edge
-       loaded from a prior run's spilled matrix. The concrete invocation
-       count is [Framework.invocations]. *)
-    ec.calls <- ec.calls + 1;
-    match Hashtbl.find_opt ec.warm (target_idx, query_idx) with
-    | Some c ->
-      Obs.Metrics.incr ec.disk_served_c;
-      ec.warm_n <- ec.warm_n + 1;
-      Hashtbl.replace ec.memo (target_idx, query_idx) c;
-      c
-    | None ->
-      Obs.Metrics.incr ec.computed_c;
-      ec.computed_n <- ec.computed_n + 1;
-      let disabled = Suite.rules_of ec.targets.(target_idx) in
-      let query = ec.suite.entries.(query_idx).query in
-      let c, matched =
-        Framework.with_matched @@ fun () ->
-        let per_call () =
-          match Framework.cost ec.fw ~disabled query with
-          | Ok c -> c
-          | Error _ -> Float.infinity
-        in
-        if ec.share then
-          match shared_for ec query_idx with
-          | Some sh -> (
-            match Framework.shared_cost ec.fw ~disabled sh with
-            | Ok c -> c
-            | Error _ -> Float.infinity)
-          | None -> per_call ()
-        else per_call ()
-      in
-      record_deps ec query_idx matched;
-      Hashtbl.replace ec.memo (target_idx, query_idx) c;
-      c)
+  | None ->
+    (match Hashtbl.find_opt ec.warm p with
+    | Some c -> serve_warm ec p c
+    | None -> store_column ec (compute_column ec query_idx [ target_idx ]));
+    Hashtbl.find ec.memo p
 
 let invocations_used ec = ec.calls
 let computed_edges ec = ec.computed_n
@@ -224,14 +236,7 @@ let prefetch ?(pool = Par.Pool.sequential) ec pairs =
       then begin
         Hashtbl.replace seen (ti, qi) ();
         match Hashtbl.find_opt ec.warm (ti, qi) with
-        | Some c ->
-          (* Warm edge: merge straight into the memo — no task, no
-             exploration — with the same logical-work accounting a
-             computed edge gets. *)
-          ec.calls <- ec.calls + 1;
-          Obs.Metrics.incr ec.disk_served_c;
-          ec.warm_n <- ec.warm_n + 1;
-          Hashtbl.replace ec.memo (ti, qi) c
+        | Some c -> serve_warm ec (ti, qi) c
         | None -> (
           match Hashtbl.find_opt cols qi with
           | Some l -> l := ti :: !l
@@ -243,57 +248,8 @@ let prefetch ?(pool = Par.Pool.sequential) ec pairs =
   let columns =
     List.rev_map (fun qi -> (qi, List.rev !(Hashtbl.find cols qi))) !order
   in
-  let results =
-    Par.Pool.map_list pool
-      (fun (qi, tis) ->
-        (* The whole column computes under a matched-rule collector (the
-           task runs wholly on one domain), so the returned deps are the
-           column's dependency set: every rule whose body the shared
-           exploration or a per-call fallback could have consulted. *)
-        let (sh, edges), deps =
-          Framework.with_matched @@ fun () ->
-          let query = ec.suite.entries.(qi).query in
-          let sh =
-            if ec.share then
-              match ec.shared.(qi) with
-              | Some r -> r
-              | None -> (
-                match Framework.explore_shared ec.fw query with
-                | Ok sh -> Some sh
-                | Error _ -> None)
-            else None
-          in
-          let cost_of ti =
-            let disabled = Suite.rules_of ec.targets.(ti) in
-            match sh with
-            | Some sh -> (
-              match Framework.shared_cost ec.fw ~disabled sh with
-              | Ok c -> c
-              | Error _ -> Float.infinity)
-            | None -> (
-              match Framework.cost ec.fw ~disabled query with
-              | Ok c -> c
-              | Error _ -> Float.infinity)
-          in
-          (sh, List.map (fun ti -> (ti, cost_of ti)) tis)
-        in
-        (qi, sh, edges, deps))
-      columns
-  in
-  List.iter
-    (fun (qi, sh, edges, deps) ->
-      if ec.share && ec.shared.(qi) = None then ec.shared.(qi) <- Some sh;
-      record_deps ec qi deps;
-      List.iter
-        (fun (ti, c) ->
-          if not (Hashtbl.mem ec.memo (ti, qi)) then begin
-            ec.calls <- ec.calls + 1;
-            Obs.Metrics.incr ec.computed_c;
-            ec.computed_n <- ec.computed_n + 1;
-            Hashtbl.replace ec.memo (ti, qi) c
-          end)
-        edges)
-    results
+  List.iter (store_column ec)
+    (Par.Pool.map_list pool (fun (qi, tis) -> compute_column ec qi tis) columns)
 
 type solution = {
   assignment : (Suite.target * (int * float) list) list;
@@ -361,14 +317,12 @@ let solution_cost (suite : Suite.t) sol =
 (* without sharing Plan(q) runs across targets.                         *)
 (* ------------------------------------------------------------------ *)
 
-let service ?share_exploration ?disk ?ec fw suite =
-  match ec with
-  | Some ec -> ec
-  | None -> edge_costs ?share_exploration ?disk fw suite
+let service ?disk ?ec fw suite =
+  match ec with Some ec -> ec | None -> edge_costs ?disk fw suite
 
-let baseline ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
+let baseline ?pool ?disk ?ec fw (suite : Suite.t) =
   algo_span "baseline" suite @@ fun () ->
-  let ec = service ?share_exploration ?disk ?ec fw suite in
+  let ec = service ?disk ?ec fw suite in
   let tindex =
     List.mapi (fun i (t, _) -> (t, i)) suite.per_target
   in
@@ -405,7 +359,7 @@ let baseline ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
 (* Greedy Constrained Set-Multicover (Figure 5)                         *)
 (* ------------------------------------------------------------------ *)
 
-let smc ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
+let smc ?pool ?disk ?ec fw (suite : Suite.t) =
   algo_span "smc" suite @@ fun () ->
   let iterations_c = Obs.Metrics.counter "compress.smc.iterations" in
   let targets = Array.of_list suite.targets in
@@ -456,7 +410,7 @@ let smc ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
   done;
   (* SMC never looks at edge costs while choosing; they are computed once
      afterwards to evaluate the solution, as when executing it. *)
-  let ec = service ?share_exploration ?disk ?ec fw suite in
+  let ec = service ?disk ?ec fw suite in
   prefetch ?pool ec
     (List.concat
        (Array.to_list
@@ -511,11 +465,11 @@ module Kqueue = struct
   let contents q = List.rev_map (fun (c, i) -> (i, c)) q.items
 end
 
-let topk ?(exploit_monotonicity = false) ?share_exploration ?pool ?disk ?ec fw
+let topk ?(exploit_monotonicity = false) ?pool ?disk ?ec fw
     (suite : Suite.t) =
   algo_span (if exploit_monotonicity then "topk_mono" else "topk") suite @@ fun () ->
   let pruned_c = Obs.Metrics.counter "compress.topk.pruned_edges" in
-  let ec = service ?share_exploration ?disk ?ec fw suite in
+  let ec = service ?disk ?ec fw suite in
   let targets = Array.of_list suite.targets in
   (* The naive variant computes every (target, covering query) edge, so
      the whole matrix can be prefetched in parallel. The monotonicity

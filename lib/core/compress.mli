@@ -18,17 +18,17 @@
     the service so Figure 14 can be reproduced. *)
 
 type edge_costs
-(** Memoized [Cost(q, ¬R)] service over a suite. With the default
-    [share_exploration:true], the service explores each query once with
-    all rules enabled ({!Framework.explore_shared}) and serves every
-    disabled-set edge for that query as a cheap filtered re-costing pass
-    — turning the R×Q cost matrix from R×Q full optimizations into Q
-    explorations plus R×Q costing passes. [share_exploration:false]
-    restores one full [Cost(q, ¬R)] optimization per edge (the reference
-    path, kept for equivalence tests and benchmarks). *)
+(** Memoized [Cost(q, ¬R)] service over a suite. The service explores
+    each query once with all rules enabled ({!Framework.explore_shared})
+    and serves every disabled-set edge for that query as a cheap
+    filtered re-costing pass — turning the R×Q cost matrix from R×Q full
+    optimizations into Q explorations plus R×Q costing passes. Only when
+    a query's shared exploration fails are its edges costed one full
+    {!Framework.cost} optimization each. The per-edge reference the
+    tests and benchmarks compare against is that same
+    {!Framework.cost}[ ~disabled] call, made directly. *)
 
 val edge_costs :
-  ?share_exploration:bool ->
   ?disk:Storage.Diskcache.t ->
   ?warm_edges:((int * int) * float) list ->
   Framework.t ->
@@ -107,14 +107,13 @@ type solution = {
     [disk] warm-starts the edge-cost service from a spilled matrix and
     spills the filled matrix back on completion (see {!edge_costs});
     solutions are identical warm or cold. The optional [ec] supplies a
-    pre-built service instead (overriding [share_exploration]/[disk]) —
+    pre-built service instead (overriding [disk]) —
     the incremental layer shares one manifest-warmed service across
     algorithms and snapshots it afterwards; note a shared service's
     [calls] accumulate, so each solution's [invocations] then reports
     the cumulative count at the time that algorithm finished. *)
 
 val baseline :
-  ?share_exploration:bool ->
   ?pool:Par.Pool.t ->
   ?disk:Storage.Diskcache.t ->
   ?ec:edge_costs ->
@@ -123,7 +122,6 @@ val baseline :
   solution
 
 val smc :
-  ?share_exploration:bool ->
   ?pool:Par.Pool.t ->
   ?disk:Storage.Diskcache.t ->
   ?ec:edge_costs ->
@@ -133,7 +131,6 @@ val smc :
 
 val topk :
   ?exploit_monotonicity:bool ->
-  ?share_exploration:bool ->
   ?pool:Par.Pool.t ->
   ?disk:Storage.Diskcache.t ->
   ?ec:edge_costs ->

@@ -210,7 +210,7 @@ let rank ?(pool = Par.Pool.sequential) ?disk (config : config) cat survivors =
     List.map2 (fun n before -> fired_total n - before) names fired0
   in
   F.reset_invocations fw;
-  let ec = Core.Compress.edge_costs ~share_exploration:true ?disk fw suite in
+  let ec = Core.Compress.edge_costs ?disk fw suite in
   let pairs =
     List.concat
       (List.mapi

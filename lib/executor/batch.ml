@@ -1097,24 +1097,7 @@ let default_morsel_rows = 1024
 
 type cfg = { pool : Par.Pool.t; morsel_rows : int }
 
-type node = { cols : Ident.t array; gen : unit -> Value.t array array }
-
-let op_label : P.t -> string = function
-  | P.TableScan _ -> "TableScan"
-  | P.FilterOp _ -> "Filter"
-  | P.ComputeScalar _ -> "ComputeScalar"
-  | P.NestedLoopsJoin _ -> "NestedLoopsJoin"
-  | P.HashJoin _ -> "HashJoin"
-  | P.MergeJoin _ -> "MergeJoin"
-  | P.HashAggregate _ -> "HashAggregate"
-  | P.StreamAggregate _ -> "StreamAggregate"
-  | P.SortOp _ -> "Sort"
-  | P.Concat _ -> "Concat"
-  | P.HashUnion _ -> "HashUnion"
-  | P.HashIntersect _ -> "HashIntersect"
-  | P.HashExcept _ -> "HashExcept"
-  | P.HashDistinct _ -> "HashDistinct"
-  | P.LimitOp _ -> "Limit"
+type t = { cols : Ident.t array; gen : unit -> Value.t array array }
 
 let check_arity a b =
   if Array.length a.cols <> Array.length b.cols then
@@ -1171,7 +1154,7 @@ let nl_chunk (k : kernel) (rarr : Value.t array array) chunk =
 let residual_pred cols r =
   if S.equal r S.true_ then None else Some (Compile.pred cols r)
 
-let rec node cfg catalog (p : P.t) : node =
+let rec node cfg catalog (p : P.t) : t =
   let sub = node cfg catalog in
   let compiled =
     match p with
@@ -1301,8 +1284,8 @@ let rec node cfg catalog (p : P.t) : node =
       let c = sub child in
       { cols = c.cols; gen = (fun () -> Relops.take_rows count (c.gen ())) }
   in
-  let rows_c = Obs.Metrics.counter ~label:(op_label p) "exec.rows" in
-  let ops_c = Obs.Metrics.counter ~label:(op_label p) "exec.operators" in
+  let rows_c = Obs.Metrics.counter ~label:(P.op_name p) "exec.rows" in
+  let ops_c = Obs.Metrics.counter ~label:(P.op_name p) "exec.operators" in
   { compiled with
     gen =
       (fun () ->
@@ -1335,7 +1318,6 @@ and node_agg cfg c keys aggs group =
           (Relops.grouped_rows agg_fns) groups) }
 
 let plan ?(pool = Par.Pool.sequential) ?(morsel_rows = default_morsel_rows)
-    catalog p : Compile.t =
+    catalog p =
   if morsel_rows < 1 then invalid_arg "Batch.plan: morsel_rows < 1";
-  let n = node { pool; morsel_rows } catalog p in
-  Compile.v n.cols n.gen
+  node { pool; morsel_rows } catalog p

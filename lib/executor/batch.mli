@@ -1,14 +1,14 @@
-(** Columnar batch ("morsel") compilation — the executor's default hot
-    path since the vectorization rework.
+(** Columnar batch ("morsel") compilation — the executor's engine
+    behind {!Exec.run}.
 
     Scalars compile to {!kernel}s evaluating a whole morsel of rows into
     a [Value.t array] column at a time (one tight loop per expression
     node instead of a closure call per row per node), with a fused
     unboxed [float array] fast path for arithmetic/comparison subtrees
-    over all-float columns. Plans compile to the same executable shape
-    as {!Compile.t}, but filter / projection / join-probe / per-group
-    aggregation are scheduled morsel-wise through a {!Par.Pool} with
-    task-order merges, so output is byte-identical for every jobs count.
+    over all-float columns. Plans compile to a tree of row generators
+    ({!t}); filter / projection / join-probe / per-group aggregation are
+    scheduled morsel-wise through a {!Par.Pool} with task-order merges,
+    so output is byte-identical for every jobs count.
 
     Observable behaviour matches {!Eval} and {!Compile.scalar} exactly —
     values, three-valued logic, and errors: kernels track a per-row
@@ -54,13 +54,23 @@ val default_morsel_rows : int
 (** 1024 — small enough to stay cache-resident, large enough to
     amortize per-morsel setup. *)
 
+type t = { cols : Relalg.Ident.t array; gen : unit -> Value.t array array }
+(** A compiled plan: output columns plus a generator that executes the
+    operator tree. Reusable — each call of [gen] runs the plan afresh,
+    raising {!Relops.Exec_error} or [Invalid_argument] only for
+    value-dependent failures. *)
+
 val plan :
   ?pool:Par.Pool.t ->
   ?morsel_rows:int ->
   Storage.Catalog.t ->
   Optimizer.Physical.t ->
-  Compile.t
-(** Compile a plan to morsel-scheduled batch kernels. [pool] defaults
+  t
+(** Compile a plan to morsel-scheduled batch kernels, reporting every
+    static error (unknown table or column, set-operation arity
+    mismatch) as {!Compile.Compile_error} before any row is produced.
+    Each operator feeds the [exec.rows]/[exec.operators] counters,
+    labelled by {!Optimizer.Physical.op_name}. [pool] defaults
     to {!Par.Pool.sequential} — executor-level parallelism must be opted
     into, because campaign layers already parallelize across queries and
     nesting domain pools oversubscribes. Results and errors are

@@ -1,16 +1,10 @@
 open Storage
-module P = Optimizer.Physical
 module S = Relalg.Scalar
-module L = Relalg.Logical
 module Ident = Relalg.Ident
 
 exception Compile_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Compile_error s)) fmt
-
-(* ------------------------------------------------------------------ *)
-(* Scalar compilation                                                  *)
-(* ------------------------------------------------------------------ *)
 
 (* Same error text as [Eval], so the two paths are indistinguishable to
    callers on row-time type errors. *)
@@ -21,7 +15,7 @@ let as_bool3 = function
   | (Value.Bool _ | Value.Null) as v -> v
   | v -> bad_bool v
 
-let index_of (cols : Ident.t array) id =
+let column_index (cols : Ident.t array) id =
   let n = Array.length cols in
   let rec go i =
     if i = n then fail "unknown column %s" (Ident.to_sql id)
@@ -30,7 +24,7 @@ let index_of (cols : Ident.t array) id =
   in
   go 0
 
-let key_indices cols keys = Array.of_list (List.map (index_of cols) keys)
+let key_indices cols keys = Array.of_list (List.map (column_index cols) keys)
 
 (* Column references become array offsets and every operator/connective
    is dispatched here, once — the returned closure does no hashtable
@@ -39,7 +33,7 @@ let rec scalar (cols : Ident.t array) (e : S.t) : Value.t array -> Value.t =
   match e with
   | S.Const v -> fun _ -> v
   | S.Col id ->
-    let i = index_of cols id in
+    let i = column_index cols id in
     fun row -> row.(i)
   | S.Neg a ->
     let fa = scalar cols a in
@@ -117,208 +111,3 @@ let pred cols p =
     | Value.Bool true -> true
     | Value.Bool false | Value.Null -> false
     | v -> bad_bool v
-
-(* A non-trivial residual compiles to a predicate closure; the trivial
-   TRUE residual is elided entirely. *)
-let residual_pred cols r =
-  if S.equal r S.true_ then None else Some (pred cols r)
-
-(* ------------------------------------------------------------------ *)
-(* Plan compilation                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type t = { cols : Ident.t array; gen : unit -> Value.t array array }
-
-let cols t = t.cols
-
-let op_label : P.t -> string = function
-  | P.TableScan _ -> "TableScan"
-  | P.FilterOp _ -> "Filter"
-  | P.ComputeScalar _ -> "ComputeScalar"
-  | P.NestedLoopsJoin _ -> "NestedLoopsJoin"
-  | P.HashJoin _ -> "HashJoin"
-  | P.MergeJoin _ -> "MergeJoin"
-  | P.HashAggregate _ -> "HashAggregate"
-  | P.StreamAggregate _ -> "StreamAggregate"
-  | P.SortOp _ -> "Sort"
-  | P.Concat _ -> "Concat"
-  | P.HashUnion _ -> "HashUnion"
-  | P.HashIntersect _ -> "HashIntersect"
-  | P.HashExcept _ -> "HashExcept"
-  | P.HashDistinct _ -> "HashDistinct"
-  | P.LimitOp _ -> "Limit"
-
-let check_arity a b =
-  if Array.length a.cols <> Array.length b.cols then
-    fail "set operation arity mismatch: %d vs %d" (Array.length a.cols)
-      (Array.length b.cols)
-
-let rec node catalog (p : P.t) : t =
-  let compiled =
-    match p with
-    | P.TableScan { table; alias } -> (
-      match Catalog.find catalog table with
-      | None -> fail "unknown table %s" table
-      | Some tb ->
-        let cols =
-          Array.of_list
-            (List.map
-               (fun c -> Ident.make alias c.Schema.col_name)
-               tb.schema.columns)
-        in
-        let rows = tb.rows in
-        { cols; gen = (fun () -> rows) })
-    | P.FilterOp { pred = pr; child } ->
-      let c = node catalog child in
-      let f = pred c.cols pr in
-      { cols = c.cols; gen = (fun () -> Relops.filter_rows f (c.gen ())) }
-    | P.ComputeScalar { cols; child } ->
-      let c = node catalog child in
-      let out_cols = Array.of_list (List.map fst cols) in
-      let fns = Array.of_list (List.map (fun (_, e) -> scalar c.cols e) cols) in
-      { cols = out_cols;
-        gen =
-          (fun () ->
-            Array.map (fun row -> Array.map (fun f -> f row) fns) (c.gen ()))
-      }
-    | P.NestedLoopsJoin { kind; pred = pr; left; right } ->
-      let l = node catalog left and r = node catalog right in
-      let f = pred (Array.append l.cols r.cols) pr in
-      let la = Array.length l.cols and ra = Array.length r.cols in
-      { cols = Relops.join_cols kind l.cols r.cols;
-        gen =
-          (fun () ->
-            let larr = l.gen () and rarr = r.gen () in
-            Relops.join_rows kind ~left_arity:la ~right_arity:ra larr rarr
-              (Relops.nested_loops_matches f larr rarr)) }
-    | P.HashJoin { kind; left_keys; right_keys; residual; left; right } ->
-      let l = node catalog left and r = node catalog right in
-      let lidx = key_indices l.cols left_keys in
-      let ridx = key_indices r.cols right_keys in
-      let res = residual_pred (Array.append l.cols r.cols) residual in
-      let la = Array.length l.cols and ra = Array.length r.cols in
-      { cols = Relops.join_cols kind l.cols r.cols;
-        gen =
-          (fun () ->
-            let larr = l.gen () and rarr = r.gen () in
-            Relops.join_rows kind ~left_arity:la ~right_arity:ra larr rarr
-              (Relops.hash_matches ~lidx ~ridx ~residual:res larr rarr)) }
-    | P.MergeJoin { left_keys; right_keys; residual; left; right } ->
-      let l = node catalog left and r = node catalog right in
-      let lidx = key_indices l.cols left_keys in
-      let ridx = key_indices r.cols right_keys in
-      let res = residual_pred (Array.append l.cols r.cols) residual in
-      let la = Array.length l.cols and ra = Array.length r.cols in
-      { cols = Relops.join_cols L.Inner l.cols r.cols;
-        gen =
-          (fun () ->
-            let larr = l.gen () and rarr = r.gen () in
-            Relops.join_rows L.Inner ~left_arity:la ~right_arity:ra larr rarr
-              (Relops.merge_matches ~lidx ~ridx ~residual:res larr rarr)) }
-    | P.HashAggregate { keys; aggs; child } ->
-      let c = node catalog child in
-      let kidx = key_indices c.cols keys in
-      let agg_fns =
-        Array.of_list
-          (List.map (fun (_, a) -> Relops.make_agg (scalar c.cols) a) aggs)
-      in
-      let out_cols = Array.of_list (keys @ List.map fst aggs) in
-      { cols = out_cols;
-        gen =
-          (fun () ->
-            let rows = c.gen () in
-            let groups =
-              (* With no keys, exactly one (possibly empty-input) global
-                 group exists. *)
-              if keys = [] then [| ([||], rows) |]
-              else Relops.hash_groups kidx rows
-            in
-            Relops.grouped_rows agg_fns groups) }
-    | P.StreamAggregate { keys; aggs; child } ->
-      let c = node catalog child in
-      let kidx = key_indices c.cols keys in
-      let agg_fns =
-        Array.of_list
-          (List.map (fun (_, a) -> Relops.make_agg (scalar c.cols) a) aggs)
-      in
-      let out_cols = Array.of_list (keys @ List.map fst aggs) in
-      { cols = out_cols;
-        gen =
-          (fun () ->
-            let rows = c.gen () in
-            let groups =
-              if keys = [] then [| ([||], rows) |]
-              else Relops.stream_groups kidx rows
-            in
-            Relops.grouped_rows agg_fns groups) }
-    | P.SortOp { keys; child } ->
-      let c = node catalog child in
-      let kidx = key_indices c.cols (List.map fst keys) in
-      let dirs = Array.of_list (List.map snd keys) in
-      let cmp = Relops.sort_compare kidx dirs in
-      { cols = c.cols;
-        gen =
-          (fun () ->
-            let rows = Array.copy (c.gen ()) in
-            Array.stable_sort cmp rows;
-            rows) }
-    | P.Concat (a, b) ->
-      let ca = node catalog a and cb = node catalog b in
-      check_arity ca cb;
-      { cols = ca.cols; gen = (fun () -> Array.append (ca.gen ()) (cb.gen ())) }
-    | P.HashUnion (a, b) ->
-      let ca = node catalog a and cb = node catalog b in
-      check_arity ca cb;
-      { cols = ca.cols;
-        gen =
-          (fun () ->
-            Relops.distinct_rows (Array.append (ca.gen ()) (cb.gen ()))) }
-    | P.HashIntersect (a, b) ->
-      let ca = node catalog a and cb = node catalog b in
-      check_arity ca cb;
-      { cols = ca.cols;
-        gen =
-          (fun () ->
-            let in_b = Relops.row_set (cb.gen ()) in
-            Relops.distinct_rows
-              (Relops.filter_rows (Relops.RowTbl.mem in_b) (ca.gen ()))) }
-    | P.HashExcept (a, b) ->
-      let ca = node catalog a and cb = node catalog b in
-      check_arity ca cb;
-      { cols = ca.cols;
-        gen =
-          (fun () ->
-            let in_b = Relops.row_set (cb.gen ()) in
-            Relops.distinct_rows
-              (Relops.filter_rows
-                 (fun r -> not (Relops.RowTbl.mem in_b r))
-                 (ca.gen ()))) }
-    | P.HashDistinct child ->
-      let c = node catalog child in
-      { cols = c.cols; gen = (fun () -> Relops.distinct_rows (c.gen ())) }
-    | P.LimitOp { count; child } ->
-      let c = node catalog child in
-      { cols = c.cols; gen = (fun () -> Relops.take_rows count (c.gen ())) }
-  in
-  (* Per-operator row/invocation counters, matching the interpreter's
-     labels; instruments are interned at compile time so the per-run
-     cost is one branch when metrics are off. *)
-  let rows_c = Obs.Metrics.counter ~label:(op_label p) "exec.rows" in
-  let ops_c = Obs.Metrics.counter ~label:(op_label p) "exec.operators" in
-  { compiled with
-    gen =
-      (fun () ->
-        let rows = compiled.gen () in
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.add rows_c (Array.length rows);
-          Obs.Metrics.incr ops_c
-        end;
-        rows) }
-
-let plan catalog p = node catalog p
-let execute t = Resultset.make t.cols (t.gen ())
-
-(* Constructor for alternate compilation strategies ({!Batch}) that
-   produce the same executable shape. *)
-let v cols gen = { cols; gen }
-let column_index = index_of

@@ -1,16 +1,17 @@
-(** One-time plan compilation.
+(** Row-layout scalar compilation, shared by the batch planner
+    ({!Batch}).
 
-    Walks a physical plan once, resolving every column reference to an
-    array offset and every scalar operator to a closure, so the per-row
-    hot loop does zero hashtable lookups and zero AST dispatch. Anything
-    knowable from the plan and catalog alone — unknown tables, unknown
-    columns, set-operation arity mismatches — is reported here, at
-    compile time, before a single row is produced; only value-dependent
-    failures (type errors, AVG over non-numerics) remain row-time. *)
+    Resolves every column reference to an array offset and every scalar
+    operator to a closure, so evaluating a compiled expression over a row
+    does zero hashtable lookups and zero AST dispatch. Anything knowable
+    from the row layout alone — unknown columns — is reported here, when
+    the plan is compiled, before a single row is produced; only
+    value-dependent failures (type errors) remain row-time. *)
 
 exception Compile_error of string
 (** Static plan error: unknown table/column, set-operation arity
-    mismatch. Raised by {!plan} (and {!scalar}/{!pred}) — never from the
+    mismatch. Raised while compiling (by {!scalar}, {!pred},
+    {!column_index}, {!key_indices} and {!Batch.plan}) — never from the
     returned closures. *)
 
 val scalar :
@@ -25,24 +26,6 @@ val scalar :
 val pred :
   Relalg.Ident.t array -> Relalg.Scalar.t -> Storage.Value.t array -> bool
 (** Compiled {!Eval.pred_true}: [true] iff exactly [Bool true]. *)
-
-type t
-(** A compiled plan: output columns plus a generator that executes the
-    operator tree. Reusable — each {!execute} runs the plan afresh. *)
-
-val cols : t -> Relalg.Ident.t array
-
-val plan : Storage.Catalog.t -> Optimizer.Physical.t -> t
-(** Compile the whole plan. Raises {!Compile_error} on static errors. *)
-
-val execute : t -> Resultset.t
-(** Run the compiled plan. Raises {!Relops.Exec_error} or
-    [Invalid_argument] only for value-dependent failures. *)
-
-(** {2 Shared with the batch compiler ({!Batch})} *)
-
-val v : Relalg.Ident.t array -> (unit -> Storage.Value.t array array) -> t
-(** Wrap output columns and a row generator as a compiled plan. *)
 
 val column_index : Relalg.Ident.t array -> Relalg.Ident.t -> int
 (** Offset of a column in a row layout. Raises {!Compile_error} on

@@ -11,8 +11,8 @@ let fail fmt = Relops.fail fmt
 (*                                                                     *)
 (* Row-at-a-time: every column reference is a hashtable lookup and      *)
 (* every expression an AST walk ([Eval.scalar]). Kept as the semantic   *)
-(* baseline the compiled path ([Compile]) is differentially tested      *)
-(* against, and as the interpreter side of the [execute] bench.         *)
+(* oracle the batch path ([Batch]) is differentially tested against,    *)
+(* and as the interpreter side of the [execute] bench.                  *)
 (* ------------------------------------------------------------------ *)
 
 let make_env (cols : Ident.t array) =
@@ -48,31 +48,14 @@ let residual_env cols r =
     let env = make_env cols in
     Some (fun row -> Eval.pred_true (env row) r)
 
-let op_name : P.t -> string = function
-  | P.TableScan _ -> "TableScan"
-  | P.FilterOp _ -> "Filter"
-  | P.ComputeScalar _ -> "ComputeScalar"
-  | P.NestedLoopsJoin _ -> "NestedLoopsJoin"
-  | P.HashJoin _ -> "HashJoin"
-  | P.MergeJoin _ -> "MergeJoin"
-  | P.HashAggregate _ -> "HashAggregate"
-  | P.StreamAggregate _ -> "StreamAggregate"
-  | P.SortOp _ -> "Sort"
-  | P.Concat _ -> "Concat"
-  | P.HashUnion _ -> "HashUnion"
-  | P.HashIntersect _ -> "HashIntersect"
-  | P.HashExcept _ -> "HashExcept"
-  | P.HashDistinct _ -> "HashDistinct"
-  | P.LimitOp _ -> "Limit"
-
 let rec exec catalog (plan : P.t) : RS.t =
   let rs = exec_node catalog plan in
   (* Rows flowing out of every physical operator, by operator kind. *)
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.add
-      (Obs.Metrics.counter ~label:(op_name plan) "exec.rows")
+      (Obs.Metrics.counter ~label:(P.op_name plan) "exec.rows")
       (RS.row_count rs);
-    Obs.Metrics.incr (Obs.Metrics.counter ~label:(op_name plan) "exec.operators")
+    Obs.Metrics.incr (Obs.Metrics.counter ~label:(P.op_name plan) "exec.operators")
   end;
   rs
 
@@ -202,7 +185,7 @@ let run_interpreted catalog plan =
   | Invalid_argument msg -> Error ("execution type error: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled execution                                                  *)
+(* Batch execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let compile_h = Obs.Metrics.histogram "executor.compile_ns"
@@ -210,15 +193,22 @@ let exec_h = Obs.Metrics.histogram "executor.exec_ns"
 let rows_c = Obs.Metrics.counter "executor.rows"
 let rps_g = Obs.Metrics.gauge "executor.rows_per_sec"
 
-let timed_run span compile =
-  Obs.Trace.with_span span @@ fun () ->
+let materialize (b : Batch.t) = RS.make b.cols (b.gen ())
+
+(* Columnar batch kernels ([Batch]), morsel-scheduled through [pool]
+   when one is supplied. Sequential by default — the campaign layers
+   already fan out across queries, and nested domain pools
+   oversubscribe. *)
+let run ?pool ?morsel_rows catalog plan =
+  Obs.Trace.with_span "exec.batch" @@ fun () ->
+  let compile () = Batch.plan ?pool ?morsel_rows catalog plan in
   try
     if Obs.Metrics.enabled () then begin
       let t0 = Obs.Clock.now_ns () in
       let compiled = compile () in
       let t1 = Obs.Clock.now_ns () in
       Obs.Metrics.observe compile_h (Obs.Clock.ns_between t0 t1);
-      let rs = Compile.execute compiled in
+      let rs = materialize compiled in
       let t2 = Obs.Clock.now_ns () in
       let dt = Obs.Clock.ns_between t1 t2 in
       Obs.Metrics.observe exec_h dt;
@@ -227,22 +217,10 @@ let timed_run span compile =
         Obs.Metrics.gauge_set rps_g (float_of_int (RS.row_count rs) *. 1e9 /. dt);
       Ok rs
     end
-    else Ok (Compile.execute (compile ()))
+    else Ok (materialize (compile ()))
   with
   | Compile.Compile_error msg | Relops.Exec_error msg -> Error msg
   | Invalid_argument msg -> Error ("execution type error: " ^ msg)
-
-(* The default path: columnar batch kernels ([Batch]), morsel-scheduled
-   through [pool] when one is supplied. Sequential by default — the
-   campaign layers already fan out across queries, and nested domain
-   pools oversubscribe. *)
-let run ?pool ?morsel_rows catalog plan =
-  timed_run "exec.batch" (fun () -> Batch.plan ?pool ?morsel_rows catalog plan)
-
-(* The PR-5 row-at-a-time compiled closures, kept as a differential
-   reference and the batch path's benchmark baseline. *)
-let run_rowwise catalog plan =
-  timed_run "exec.run" (fun () -> Compile.plan catalog plan)
 
 let run_logical ?options catalog tree =
   match Optimizer.Engine.optimize ?options catalog tree with

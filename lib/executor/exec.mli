@@ -7,9 +7,10 @@
     operations.
 
     Two paths share one relational core ({!Relops}): {!run} compiles the
-    plan once ({!Compile}) and executes closures, {!run_interpreted}
-    walks expression ASTs per row — the reference the compiled path is
-    differentially tested and benchmarked against. *)
+    plan once into columnar batch kernels ({!Batch}) and streams morsels
+    through them; {!run_interpreted} walks expression ASTs per row — the
+    simple oracle the batch path is differentially tested and
+    benchmarked against. *)
 
 val run :
   ?pool:Par.Pool.t ->
@@ -25,12 +26,6 @@ val run :
     either way). When metrics are enabled, records
     [executor.compile_ns], [executor.exec_ns], [executor.rows], and
     [executor.rows_per_sec]. *)
-
-val run_rowwise :
-  Storage.Catalog.t -> Optimizer.Physical.t -> (Resultset.t, string) result
-(** The row-at-a-time compiled-closure path ({!Compile}) — the batch
-    path's differential reference and benchmark baseline. Same
-    observable results and errors as {!run}. *)
 
 val run_interpreted :
   Storage.Catalog.t -> Optimizer.Physical.t -> (Resultset.t, string) result

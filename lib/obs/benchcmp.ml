@@ -90,7 +90,6 @@ let default_specs =
     ratio "details/explore/speedup" Higher_is_better;
     ratio "details/matrix/speedup" Higher_is_better;
     ratio "details/execute/speedup" Higher_is_better;
-    ratio "details/execute/batch_speedup_vs_rowcompiled" Higher_is_better;
     ratio "details/execute/compiled_rows_per_sec" ~threshold:0.5 Higher_is_better;
     ratio "details/execute/result_cache/hit_rate" ~threshold:0.2 Higher_is_better;
     (* Correctness flags: machine-independent, zero tolerance. *)

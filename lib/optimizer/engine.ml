@@ -4,15 +4,9 @@ module H = Hashcons
 module S = Scalar
 module SSet = Set.Make (String)
 
-type options = {
-  disabled : SSet.t;
-  max_trees : int;
-  max_growth : int;
-  memoize : bool;
-}
+type options = { disabled : SSet.t; max_trees : int; max_growth : int }
 
-let default_options =
-  { disabled = SSet.empty; max_trees = 1200; max_growth = 6; memoize = true }
+let default_options = { disabled = SSet.empty; max_trees = 1200; max_growth = 6 }
 
 type result = {
   best_logical : L.t;
@@ -81,7 +75,7 @@ let replace_child kids i kid' =
 
 (* All (rule name, rewritten whole tree) pairs obtained by applying a
    rule at any node of [t], recomputed from scratch for every containing
-   tree — the seed engine's behaviour, kept behind [memoize = false] as
+   tree — the seed engine's behaviour, kept behind [Reference.optimize] as
    the reference implementation for equivalence tests and before/after
    benchmarks. Accumulator-based: one reversed push per rewrite and a
    single [List.rev], instead of the previous [List.mapi] replacement and
@@ -115,7 +109,6 @@ let rewrites_unmemoized catalog rules (t : L.t) : (string * L.t) list =
 type rewriter = {
   rw_catalog : Storage.Catalog.t;
   rw_rules : instrumented_rule list;
-  rw_memoize : bool;
   rw_memo : (int, (string * H.node) list) Hashtbl.t;
   rw_hits : Obs.Metrics.counter;
   rw_misses : Obs.Metrics.counter;
@@ -127,7 +120,6 @@ let make_rewriter catalog options rules =
   in
   { rw_catalog = catalog;
     rw_rules = List.map instrument_rule rules;
-    rw_memoize = options.memoize;
     rw_memo = Hashtbl.create 1024;
     rw_hits = Obs.Metrics.counter "optimizer.rewrite_memo.hits";
     rw_misses = Obs.Metrics.counter "optimizer.rewrite_memo.misses" }
@@ -156,13 +148,6 @@ let rec node_rewrites rw (n : H.node) : (string * H.node) list =
     Hashtbl.replace rw.rw_memo n.H.id r;
     r
 
-let tree_rewrites rw (n : H.node) : (string * H.node) list =
-  if rw.rw_memoize then node_rewrites rw n
-  else
-    List.map
-      (fun (name, t') -> (name, H.intern t'))
-      (rewrites_unmemoized rw.rw_catalog rw.rw_rules n.H.repr)
-
 type exploration = {
   nodes : H.node list;  (** insertion order; head is the input tree *)
   logical_exercised : SSet.t;
@@ -170,7 +155,10 @@ type exploration = {
   truncated : bool;  (** the tree budget cut the closure short *)
 }
 
-let explore ~options ~rules catalog t0 : exploration =
+(* The closure loop. [rewrites] enumerates the rewrites of one tree:
+   [node_rewrites] (memo replay) in production, the per-tree
+   recomputation behind [Reference.optimize]. *)
+let explore ~rewrites ~options ~rules catalog t0 : exploration =
   (* Resolved once per call, not per rewrite: registry lookups stay out
      of the closure loop, and a [Metrics.clear] between calls cannot
      leave us holding instruments the registry no longer knows about. *)
@@ -210,7 +198,7 @@ let explore ~options ~rules catalog t0 : exploration =
                truncated, whatever the queue looks like afterwards. *)
             truncated := true
         end)
-      (tree_rewrites rw n)
+      (rewrites rw n)
   done;
   let truncated = !truncated || not (Queue.is_empty queue) in
   Obs.Metrics.add explored_counter !count;
@@ -492,14 +480,15 @@ let make_planner catalog options =
     memo_hits = Obs.Metrics.counter "optimizer.memo.hits";
     memo_misses = Obs.Metrics.counter "optimizer.memo.misses" }
 
-let optimize ?(options = default_options) ?(rules = Rules.all) catalog t0 =
+let optimize_with ~rewrites ?(options = default_options) ?(rules = Rules.all)
+    catalog t0 =
   match Props.validate catalog t0 with
   | Error e -> Error ("invalid input tree: " ^ e)
   | Ok () ->
     let exploration =
       Obs.Trace.with_span "engine.explore"
         ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
-        (fun () -> explore ~options ~rules catalog t0)
+        (fun () -> explore ~rewrites ~options ~rules catalog t0)
     in
     let planner = make_planner catalog options in
     let best =
@@ -528,6 +517,21 @@ let optimize ?(options = default_options) ?(rules = Rules.all) catalog t0 =
           trees_explored = exploration.count;
           budget_truncated = exploration.truncated })
 
+(* The per-tree reference engine: the same closure loop and costing
+   pass, fed by [rewrites_unmemoized] instead of the memo replay. *)
+module Reference = struct
+  let per_tree_rewrites rw (n : H.node) =
+    List.map
+      (fun (name, t') -> (name, H.intern t'))
+      (rewrites_unmemoized rw.rw_catalog rw.rw_rules n.H.repr)
+
+  let optimize ?options ?rules catalog t0 =
+    optimize_with ~rewrites:per_tree_rewrites ?options ?rules catalog t0
+end
+
+let optimize ?options ?rules catalog t0 =
+  optimize_with ~rewrites:node_rewrites ?options ?rules catalog t0
+
 let ruleset ?(options = default_options) ?(rules = Rules.all) catalog t0 =
   match Props.validate catalog t0 with
   | Error e -> Error ("invalid input tree: " ^ e)
@@ -535,7 +539,7 @@ let ruleset ?(options = default_options) ?(rules = Rules.all) catalog t0 =
     let exploration =
       Obs.Trace.with_span "engine.explore"
         ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
-        (fun () -> explore ~options ~rules catalog t0)
+        (fun () -> explore ~rewrites:node_rewrites ~options ~rules catalog t0)
     in
     Ok exploration.logical_exercised
 
@@ -636,7 +640,7 @@ let explore_shared ?(options = default_options) ?(rules = Rules.all) catalog t0 
                  tag sets only ever grows downward in the subset order. *)
               if changed then Queue.add n' queue
           end)
-        (tree_rewrites rw n)
+        (node_rewrites rw n)
     done;
     let nodes =
       Array.of_list

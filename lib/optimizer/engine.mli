@@ -22,10 +22,10 @@
     cardinality memos all key on the interned node id — one int compare —
     and the rewrites of each distinct subtree are computed once and
     replayed for every containing tree (Cascades-memo behaviour). The
-    [memoize] option turns the replay off, restoring the original
-    recompute-per-tree engine; both paths enumerate rewrites in the same
-    order, so they admit bit-identical closures even when [max_trees]
-    truncates — the equivalence the property tests assert. *)
+    original recompute-per-tree engine survives only as {!Reference}, an
+    entry point for tests and benchmarks; both enumerate rewrites in the
+    same order, so they admit bit-identical closures even when
+    [max_trees] truncates — the equivalence the property tests assert. *)
 
 module SSet : Set.S with type elt = string
 
@@ -33,11 +33,6 @@ type options = {
   disabled : SSet.t;  (** rule names (logical or implementation) to turn off *)
   max_trees : int;  (** exploration budget; default 1200 *)
   max_growth : int;  (** max extra operators over the input size; default 6 *)
-  memoize : bool;
-      (** replay per-subtree rewrite memos instead of recomputing rule
-          applications for every containing tree; default [true].
-          Observationally equivalent either way — [false] exists for
-          equivalence tests and before/after benchmarks. *)
 }
 
 val default_options : options
@@ -67,6 +62,21 @@ val optimize :
     some operator are disabled). [rules] overrides the exploration-rule
     registry (default {!Rules.all}) — used to inject deliberately broken
     rules in correctness-testing demonstrations. *)
+
+(** The per-tree reference engine, for equivalence tests and
+    before/after benchmarks — not a production path. *)
+module Reference : sig
+  val optimize :
+    ?options:options ->
+    ?rules:Rule.t list ->
+    Storage.Catalog.t ->
+    Relalg.Logical.t ->
+    (result, string) Stdlib.result
+  (** {!optimize} with rule applications recomputed at every node of
+      every explored tree instead of replayed from the per-subtree
+      memo: the same closure loop, costing pass and result, only
+      slower. *)
+end
 
 val ruleset :
   ?options:options ->
@@ -138,8 +148,8 @@ val shared_trees : shared -> int
     When [Obs.Metrics] collection is enabled the engine feeds:
 
     - ["optimizer.rule.attempts"{rule}] — rule application attempts
-      (one per rule per node of every *distinct* subtree; with
-      [memoize = false], of every node of every explored tree);
+      (one per rule per node of every *distinct* subtree; under
+      {!Reference.optimize}, of every node of every explored tree);
     - ["optimizer.rule.rewrites"{rule}] — rewrites those attempts
       produced (so [rewrites/attempts] is the rule's match rate);
     - ["optimizer.rule.match_ns"{rule}] — latency histogram of one

@@ -66,9 +66,8 @@ let op_name = function
   | TableScan _ -> "TableScan"
   | FilterOp _ -> "Filter"
   | ComputeScalar _ -> "ComputeScalar"
-  | NestedLoopsJoin { kind; _ } ->
-    "NestedLoops" ^ Logical.kind_name (Logical.KJoin kind)
-  | HashJoin { kind; _ } -> "Hash" ^ Logical.kind_name (Logical.KJoin kind)
+  | NestedLoopsJoin _ -> "NestedLoopsJoin"
+  | HashJoin _ -> "HashJoin"
   | MergeJoin _ -> "MergeJoin"
   | HashAggregate _ -> "HashAggregate"
   | StreamAggregate _ -> "StreamAggregate"
@@ -165,8 +164,17 @@ let detail = function
   | LimitOp { count; _ } -> Printf.sprintf "(%d)" count
   | Concat _ | HashUnion _ | HashIntersect _ | HashExcept _ | HashDistinct _ -> ""
 
+(* Printed plans spell out the join kind ("HashLeftOuterJoin"); metric
+   labels use the kind-less [op_name]. *)
+let display_name = function
+  | NestedLoopsJoin { kind; _ } ->
+    "NestedLoops" ^ Logical.kind_name (Logical.KJoin kind)
+  | HashJoin { kind; _ } -> "Hash" ^ Logical.kind_name (Logical.KJoin kind)
+  | t -> op_name t
+
 let rec pp_indent fmt depth t =
-  Format.fprintf fmt "%s%s%s" (String.make (2 * depth) ' ') (op_name t) (detail t);
+  Format.fprintf fmt "%s%s%s" (String.make (2 * depth) ' ') (display_name t)
+    (detail t);
   List.iter
     (fun c ->
       Format.pp_print_cut fmt ();

@@ -47,6 +47,10 @@ type t =
 val children : t -> t list
 val size : t -> int
 val op_name : t -> string
+(** Operator kind, without the join kind ("HashJoin", "Filter", ...):
+    the [op] label of the executor's per-operator metrics. Printed plans
+    ({!pp}) name joins by kind instead ("HashLeftOuterJoin"). *)
+
 val equal : t -> t -> bool
 
 val fingerprint : t -> int

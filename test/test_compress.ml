@@ -195,16 +195,21 @@ let test_shared_vs_per_call_edges () =
      truncates (the shared all-rules frontier differs from the not-R
      frontier). What IS guaranteed, truncated or not: a shared edge is
      the minimum over a subset of the very closure that produced the node
-     cost, so edge >= node always; both services stay finite on
-     logical-only targets; and the abstract edge accounting matches. *)
+     cost, so edge >= node always; both paths stay finite on
+     logical-only targets; and the abstract edge accounting counts one
+     invocation per edge, as the per-call path would. *)
   let shared = C.edge_costs fw suite6 in
-  let per_call = C.edge_costs ~share_exploration:false fw suite6 in
   let nt = List.length suite6.targets in
   let nq = Array.length suite6.entries in
   for ti = 0 to nt - 1 do
+    let disabled = Su.rules_of (List.nth suite6.targets ti) in
     for q = 0 to nq - 1 do
       let cs = C.edge_cost shared ~target_idx:ti ~query_idx:q in
-      let cp = C.edge_cost per_call ~target_idx:ti ~query_idx:q in
+      let cp =
+        match F.cost fw ~disabled suite6.entries.(q).query with
+        | Ok c -> c
+        | Error _ -> Float.infinity
+      in
       check bool_t
         (Printf.sprintf "edge (%d,%d) both finite" ti q)
         true
@@ -215,8 +220,26 @@ let test_shared_vs_per_call_edges () =
         (cs >= suite6.entries.(q).cost -. 1e-6)
     done
   done;
-  check int_t "same edge accounting" (C.invocations_used per_call)
-    (C.invocations_used shared)
+  check int_t "one invocation per edge" (nt * nq) (C.invocations_used shared);
+  (* A query whose shared exploration fails (an unknown table) falls back
+     to one full optimization per edge, which fails too: one exploration
+     plus two per-call invocations, and infinite edges, not errors. *)
+  let fw' = F.create ~options:quick_options cat in
+  let targets = [ Su.Single "SelectMerge"; Su.Single "JoinCommute" ] in
+  let bad : Su.t =
+    { k = 1;
+      targets;
+      entries =
+        [| { query = Relalg.Logical.Get { table = "nosuch"; alias = "n" };
+             ruleset = F.SSet.empty;
+             cost = 0.0 } |];
+      per_target = List.map (fun t -> (t, [ 0 ])) targets }
+  in
+  let ec = C.edge_costs fw' bad in
+  check bool_t "fallback edges infinite" true
+    (C.edge_cost ec ~target_idx:0 ~query_idx:0 = Float.infinity
+    && C.edge_cost ec ~target_idx:1 ~query_idx:0 = Float.infinity);
+  check int_t "one exploration, then per-call" 3 (F.invocations fw')
 
 let test_monotonicity_sound_and_cheaper () =
   (* Figure 14's two claims: identical solution quality, fewer optimizer

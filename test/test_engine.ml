@@ -122,8 +122,8 @@ let test_custom_rules_param () =
 let float_t = Alcotest.float 1e-9
 
 let check_memo_equivalent name options q =
-  let on = Result.get_ok (E.optimize ~options:{ options with memoize = true } cat q) in
-  let off = Result.get_ok (E.optimize ~options:{ options with memoize = false } cat q) in
+  let on = Result.get_ok (E.optimize ~options cat q) in
+  let off = Result.get_ok (E.Reference.optimize ~options cat q) in
   check float_t (name ^ ": same cost") off.cost on.cost;
   check int_t (name ^ ": same closure size") off.trees_explored on.trees_explored;
   check bool_t (name ^ ": same truncation") true

@@ -275,9 +275,9 @@ let test_compile_time_unknown_column () =
     (Result.is_ok (Executor.Exec.run_interpreted cat bad));
   check bool_t "compiled path rejects the plan" true
     (Result.is_error (Executor.Exec.run cat bad));
-  (* And the error is raised by Compile.plan itself, before any row. *)
-  check bool_t "raised at Compile.plan" true
-    (match Executor.Compile.plan cat bad with
+  (* And the error is raised by Batch.plan itself, before any row. *)
+  check bool_t "raised at Batch.plan" true
+    (match Executor.Batch.plan cat bad with
     | exception Executor.Compile.Compile_error _ -> true
     | _ -> false)
 
@@ -293,7 +293,7 @@ let test_fingerprint () =
   check bool_t "non-negative" true (fp (hj L.FullOuter) >= 0)
 
 (* Morsel scheduling must be invisible: for every operator family the
-   batch path must reproduce the row-compiled results whatever the
+   batch path must reproduce the interpreter's results whatever the
    morsel boundaries — a one-row morsel, a size that straddles the
    4-row tables, one larger than any input — and whatever the pool
    size. "Identical" here is ordered, not bag: byte-for-byte output is
@@ -308,7 +308,7 @@ let rows_identical a b =
 let test_batch_morsel_boundaries () =
   List.iteri
     (fun i plan ->
-      let want = Result.get_ok (Executor.Exec.run_rowwise cat plan) in
+      let want = Result.get_ok (Executor.Exec.run_interpreted cat plan) in
       List.iter
         (fun mr ->
           let got = Result.get_ok (Executor.Exec.run ~morsel_rows:mr cat plan) in
@@ -380,8 +380,8 @@ let test_batch_error_agreement () =
   in
   List.iteri
     (fun i plan ->
-      match Executor.Exec.run_rowwise cat plan with
-      | Ok _ -> Alcotest.fail "rowwise unexpectedly succeeded"
+      match Executor.Exec.run_interpreted cat plan with
+      | Ok _ -> Alcotest.fail "interpreter unexpectedly succeeded"
       | Error want ->
         List.iter
           (fun mr ->

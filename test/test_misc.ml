@@ -115,6 +115,14 @@ let test_physical_utils () =
   check int_t "children" 1 (List.length (children plan));
   check bool_t "op names" true
     (op_name plan = "Filter" && op_name scan = "TableScan");
+  let loj =
+    HashJoin
+      { kind = L.LeftOuter; left_keys = []; right_keys = []; residual = S.true_;
+        left = scan; right = scan }
+  in
+  check bool_t "metric label drops the join kind, printed plan keeps it" true
+    (op_name loj = "HashJoin"
+    && String.starts_with ~prefix:"HashLeftOuterJoin" (to_string loj));
   let s = to_string plan in
   check bool_t "pp mentions sort" true
     (let rec find i =

@@ -374,10 +374,10 @@ let prop_memoized_engine_equivalent =
       let t = random_tree cat seed in
       (* Vary the budget so some runs truncate and some complete. *)
       let max_trees = 50 + (seed mod 5 * 150) in
-      let options mem = { quick_options with max_trees; memoize = mem } in
+      let options = { quick_options with max_trees } in
       match
-        ( Optimizer.Engine.optimize ~options:(options true) cat t,
-          Optimizer.Engine.optimize ~options:(options false) cat t )
+        ( Optimizer.Engine.optimize ~options cat t,
+          Optimizer.Engine.Reference.optimize ~options cat t )
       with
       | Error _, Error _ -> true
       | Ok m, Ok r ->
