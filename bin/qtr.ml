@@ -1121,6 +1121,11 @@ let stats_cmd =
       in
       let rw_hits = cval "optimizer.rewrite_memo.hits" in
       let rw_misses = cval "optimizer.rewrite_memo.misses" in
+      let rw_entries =
+        match Obs.Metrics.find "optimizer.rewrite_memo.entries" with
+        | Some (Obs.Metrics.Gauge g) -> int_of_float g
+        | _ -> 0
+      in
       Printf.printf
         "trees explored %d | plan memo hit rate %.1f%% (%d/%d) | budget exhausted \
          on %d/%d queries | optimizer invocations %d\n"
@@ -1128,12 +1133,13 @@ let stats_cmd =
         (rate hits misses) hits (hits + misses) !exhausted queries
         (Core.Framework.invocations fw);
       Printf.printf
-        "hashcons: %d live nodes (%d interned, %d reused) | rewrite memo hit rate \
-         %.1f%% (%d/%d)\n"
+        "hashcons: %d live nodes (%d interned, %d reused) | rewrite memo %d \
+         entries, hit rate %.1f%% (%d/%d) | %d explorations reused\n"
         (Relalg.Hashcons.live_nodes ())
         (Relalg.Hashcons.misses ())
         (Relalg.Hashcons.hits ())
-        (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses);
+        rw_entries (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses)
+        (cval "optimizer.explore.reused");
       let ex_hits = cval "executor.result_cache.hits" in
       let ex_misses = cval "executor.result_cache.misses" in
       (* Mean throughput over every (non-cached) execution, not the

@@ -67,7 +67,12 @@ val shared_cost : t -> ?disabled:string list -> shared -> (float, string) result
 
 val invocations : t -> int
 (** Number of optimizer invocations ([ruleset]/[optimize]/[cost]/[execute])
-    since creation or the last {!reset_invocations}. *)
+    since creation or the last {!reset_invocations}. It counts logical
+    calls, not exploration work: a call the engine serves from its
+    cross-call rewrite memo, or with the previous identical call's
+    closure, still counts once — as do the engine's
+    ["optimizer.rule.fired"] and ["optimizer.explore.trees"] counters
+    (see {!Optimizer.Engine}). *)
 
 val reset_invocations : t -> unit
 

@@ -31,6 +31,11 @@ let collect_matched f =
       let names = Hashtbl.fold (fun name () acc -> name :: acc) tbl [] in
       (r, List.sort String.compare names))
 
+let record_matched names =
+  match !(Domain.DLS.get collector_key) with
+  | Some tbl -> List.iter (fun name -> Hashtbl.replace tbl name ()) names
+  | None -> ()
+
 let digest_hex parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
 let make ?(version = "") ?fingerprint name pattern apply =

@@ -57,6 +57,14 @@ val collect_matched : (unit -> 'a) -> 'a * string list
     each pool task body instead). Nested collectors shadow the outer one
     for their extent. *)
 
+val record_matched : string list -> unit
+(** Add names to the calling domain's active collector, if any, as if
+    those rules' patterns had just accepted a tree. For callers that
+    replay rule applications from a cache: the optimizer engine applies
+    rules once under a nested {!collect_matched}, stores the names with
+    the rewrites, and records them again on every later use, so the
+    dependency sets stay exact. *)
+
 (** {2 Helpers shared by rule implementations} *)
 
 val subst :

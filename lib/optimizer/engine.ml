@@ -22,10 +22,10 @@ type result = {
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-rule instruments, resolved once per [explore] so the hot loop
-   never touches the metrics registry. When collection is disabled every
-   event reduces to the single branch inside [Obs.Metrics]/the [enabled]
-   guard here. *)
+(* Per-rule instruments, resolved at most once per exploration (and only
+   when it misses the rewrite memo) so the hot loop never touches the
+   metrics registry. When collection is disabled every event reduces to
+   the single branch inside [Obs.Metrics]/the [enabled] guard here. *)
 type instrumented_rule = {
   rule : Rule.t;
   attempts : Obs.Metrics.counter;  (** application attempts, per node *)
@@ -38,21 +38,6 @@ let instrument_rule (r : Rule.t) =
     attempts = Obs.Metrics.counter ~label:r.name "optimizer.rule.attempts";
     rewritten = Obs.Metrics.counter ~label:r.name "optimizer.rule.rewrites";
     match_ns = Obs.Metrics.histogram ~label:r.name "optimizer.rule.match_ns" }
-
-(* Firing counters: one per rule name, bumped when a rewrite is admitted
-   as a {e novel} tree (attempts and rewrites count applications; fired
-   counts rewrites that actually grew the closure — the signal the
-   discovery ranker consumes). The memo keeps registry lookups out of
-   the admission loop, resolved per explore call like the rest. *)
-let fired_counters () =
-  let memo : (string, Obs.Metrics.counter) Hashtbl.t = Hashtbl.create 16 in
-  fun name ->
-    match Hashtbl.find_opt memo name with
-    | Some c -> c
-    | None ->
-      let c = Obs.Metrics.counter ~label:name "optimizer.rule.fired" in
-      Hashtbl.add memo name c;
-      c
 
 let apply_rule catalog (ir : instrumented_rule) t =
   if Obs.Metrics.enabled () then begin
@@ -77,12 +62,9 @@ let replace_child kids i kid' =
    rule at any node of [t], recomputed from scratch for every containing
    tree — the seed engine's behaviour, kept behind [Reference.optimize] as
    the reference implementation for equivalence tests and before/after
-   benchmarks. Accumulator-based: one reversed push per rewrite and a
-   single [List.rev], instead of the previous [List.mapi] replacement and
-   repeated [@] of growing lists. Enumeration order (root rewrites in
-   registry order, then children left to right) is part of the engine's
-   observable behaviour under a tree budget and must match
-   [node_rewrites] below. *)
+   benchmarks. Enumeration order (root rewrites in registry order, then
+   children left to right) is part of the engine's observable behaviour
+   under a tree budget and must match [node_rewrites] below. *)
 let rewrites_unmemoized catalog rules (t : L.t) : (string * L.t) list =
   let acc = ref [] in
   let rec go wrap t =
@@ -101,74 +83,55 @@ let rewrites_unmemoized catalog rules (t : L.t) : (string * L.t) list =
   go Fun.id t;
   List.rev !acc
 
-(* The rewrite service of one exploration: rewrites of each distinct
-   hash-consed subtree are computed once and replayed for every
-   containing tree (Cascades-memo behaviour). A whole-tree rewrite list
-   is assembled from the child's memoized list with [H.rebuild] — O(1)
-   per rewrite instead of a fresh rule sweep of the subtree. *)
-type rewriter = {
-  rw_catalog : Storage.Catalog.t;
-  rw_rules : instrumented_rule list;
-  rw_memo : (int, (string * H.node) list) Hashtbl.t;
-  rw_hits : Obs.Metrics.counter;
-  rw_misses : Obs.Metrics.counter;
-}
-
-let make_rewriter catalog options rules =
-  let rules =
-    List.filter (fun (r : Rule.t) -> not (SSet.mem r.name options.disabled)) rules
-  in
-  { rw_catalog = catalog;
-    rw_rules = List.map instrument_rule rules;
-    rw_memo = Hashtbl.create 1024;
-    rw_hits = Obs.Metrics.counter "optimizer.rewrite_memo.hits";
-    rw_misses = Obs.Metrics.counter "optimizer.rewrite_memo.misses" }
-
-let rec node_rewrites rw (n : H.node) : (string * H.node) list =
-  match Hashtbl.find_opt rw.rw_memo n.H.id with
-  | Some r ->
-    Obs.Metrics.incr rw.rw_hits;
-    r
-  | None ->
-    Obs.Metrics.incr rw.rw_misses;
-    let acc = ref [] in
-    List.iter
-      (fun ir ->
-        List.iter
-          (fun t' -> acc := (ir.rule.name, H.intern t') :: !acc)
-          (apply_rule rw.rw_catalog ir n.H.repr))
-      rw.rw_rules;
-    Array.iteri
-      (fun i kid ->
-        List.iter
-          (fun (name, kid') -> acc := (name, H.rebuild n i kid') :: !acc)
-          (node_rewrites rw kid))
-      n.H.kids;
-    let r = List.rev !acc in
-    Hashtbl.replace rw.rw_memo n.H.id r;
-    r
-
 type exploration = {
   nodes : H.node list;  (** insertion order; head is the input tree *)
   logical_exercised : SSet.t;
   count : int;
   truncated : bool;  (** the tree budget cut the closure short *)
+  fired : (string * int) list;  (** novel trees admitted, per rule *)
 }
 
-(* The closure loop. [rewrites] enumerates the rewrites of one tree:
-   [node_rewrites] (memo replay) in production, the per-tree
-   recomputation behind [Reference.optimize]. *)
-let explore ~rewrites ~options ~rules catalog t0 : exploration =
+(* Firing tally of one exploration: per rule name, how many rewrites
+   were admitted as {e novel} trees (attempts and rewrites count
+   applications; fired counts rewrites that actually grew the closure —
+   the signal the discovery ranker consumes). Kept per exploration, not
+   read back from the global counter, so a reused closure can replay
+   exactly its own counts whatever other domains do meanwhile. *)
+let note_fired tally name =
+  match Hashtbl.find_opt tally name with
+  | Some n -> incr n
+  | None -> Hashtbl.add tally name (ref 1)
+
+let fired_of tally = Hashtbl.fold (fun name n acc -> (name, !n) :: acc) tally []
+
+let add_fired fired =
+  if Obs.Metrics.enabled () then
+    List.iter
+      (fun (name, n) ->
+        Obs.Metrics.add (Obs.Metrics.counter ~label:name "optimizer.rule.fired") n)
+      fired
+
+(* The counters one logical exploration feeds, whether it ran or was
+   served from the reusable closure: [Framework.invocations], fired and
+   trees keep counting calls, not work. *)
+let account (x : exploration) ~max_trees =
+  Obs.Metrics.add (Obs.Metrics.counter "optimizer.explore.trees") x.count;
+  add_fired x.fired;
+  if x.truncated then begin
+    Obs.Metrics.incr (Obs.Metrics.counter "optimizer.explore.budget_exhausted");
+    Obs.Trace.instant "explore.budget_exhausted"
+      ~args:[ ("max_trees", Obs.Json.Int max_trees) ]
+  end
+
+(* The closure loop, from the interned input [n0]. [rewrites] enumerates
+   the rewrites of one tree: [node_rewrites] (memo replay) in production,
+   the per-tree recomputation behind [Reference.optimize]. *)
+let explore ~rewrites ~options (n0 : H.node) : exploration =
   (* Resolved once per call, not per rewrite: registry lookups stay out
      of the closure loop, and a [Metrics.clear] between calls cannot
      leave us holding instruments the registry no longer knows about. *)
   let queue_depth_gauge = Obs.Metrics.gauge "optimizer.explore.queue_depth" in
-  let explored_counter = Obs.Metrics.counter "optimizer.explore.trees" in
-  let exhausted_counter = Obs.Metrics.counter "optimizer.explore.budget_exhausted" in
-  let hashcons_gauge = Obs.Metrics.gauge "optimizer.hashcons.nodes" in
-  let rw = make_rewriter catalog options rules in
-  let fired = fired_counters () in
-  let n0 = H.intern t0 in
+  let tally = Hashtbl.create 16 in
   let max_size = n0.H.nsize + options.max_growth in
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [ n0 ] in
@@ -188,7 +151,7 @@ let explore ~rewrites ~options ~rules catalog t0 : exploration =
             Hashtbl.replace seen n'.H.id ();
             order := n' :: !order;
             Queue.add n' queue;
-            Obs.Metrics.incr (fired name);
+            note_fired tally name;
             Obs.Metrics.gauge_max queue_depth_gauge
               (float_of_int (Queue.length queue));
             incr count
@@ -198,14 +161,191 @@ let explore ~rewrites ~options ~rules catalog t0 : exploration =
                truncated, whatever the queue looks like afterwards. *)
             truncated := true
         end)
-      (rewrites rw n)
+      (rewrites n)
   done;
-  let truncated = !truncated || not (Queue.is_empty queue) in
-  Obs.Metrics.add explored_counter !count;
-  Obs.Metrics.gauge_set hashcons_gauge (float_of_int (H.live_nodes ()));
+  { nodes = List.rev !order;
+    logical_exercised = !exercised;
+    count = !count;
+    truncated = !truncated || not (Queue.is_empty queue);
+    fired = fired_of tally }
+
+(* ------------------------------------------------------------------ *)
+(* The cross-call rewrite memo                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* What applying every rule of the list at the root of one node gave.
+   The shape holds everything but the rewritten nodes: the rule of each
+   rewrite, in registry order, the rules whose pattern accepted the
+   root (recorded with the caller's collector suspended, replayed on
+   every use) and the rules whose body raised (re-raised when enabled,
+   as the direct application would have). Few distinct shapes occur, so
+   they are interned, and roots without rewrites share one entry per
+   shape: an entry costs its [nodes] array and little else. *)
+type shape = {
+  names : string array;  (** rule of [nodes.(i)] *)
+  matched : string list;
+  raised : (string * exn) list;
+}
+
+type root_entry = { shape : shape; nodes : H.node array }
+
+(* The last production exploration of a domain, served again to an
+   identical call (same input, budget, growth cap and disabled set)
+   with its own counts and matched-rule names. *)
+type reusable = {
+  r_input : int;
+  r_max_trees : int;
+  r_max_growth : int;
+  r_disabled : SSet.t;
+  r_exploration : exploration;
+  r_matched : string list;
+}
+
+(* One memo per domain, for one (catalog, rule list) pair at a time —
+   compared physically, and replaced when either changes. [roots] maps
+   a hash-cons id to its [root_entry] under every rule of the list, so
+   one memo serves the all-rules exploration and every [¬R]. It holds
+   nodes of this domain's hash-cons table, so [Hashcons.clear] drops it;
+   past [roots_cap] entries it starts over. *)
+type memo = {
+  m_catalog : Storage.Catalog.t option;
+  m_rules : Rule.t list;
+  roots : (int, root_entry) Hashtbl.t;
+  shapes : (string array * string list, root_entry) Hashtbl.t;
+      (** interned shapes, each with an empty [nodes] *)
+  mutable last : reusable option;
+}
+
+let roots_cap = 1 lsl 18
+
+let new_memo ?catalog ?(rules = []) size =
+  { m_catalog = catalog;
+    m_rules = rules;
+    roots = Hashtbl.create size;
+    shapes = Hashtbl.create (min size 64);
+    last = None }
+
+let memo_key = Domain.DLS.new_key (fun () -> new_memo 1)
+let drop_memo () = Domain.DLS.set memo_key (new_memo 1)
+let () = H.on_clear drop_memo
+
+let memo_for catalog rules =
+  let m = Domain.DLS.get memo_key in
+  match m.m_catalog with
+  | Some c when c == catalog && m.m_rules == rules -> m
+  | _ ->
+    let m = new_memo ~catalog ~rules 4096 in
+    Domain.DLS.set memo_key m;
+    m
+
+(* The rewrite service of one exploration. Root rewrites come from the
+   cross-call memo, filtered by the disabled set; the whole-tree list of
+   each distinct subtree is assembled once per exploration from its
+   children's lists with [H.rebuild] — O(1) per rewrite instead of a
+   fresh rule sweep of the subtree (Cascades-memo behaviour). *)
+type rewriter = {
+  rw_catalog : Storage.Catalog.t;
+  rw_rules : instrumented_rule list Lazy.t;  (** every rule, in order *)
+  rw_disabled : SSet.t;
+  rw_memo : memo;
+  rw_local : (int, (string * H.node) list) Hashtbl.t;
+  rw_matched : (string, unit) Hashtbl.t;  (** enabled rules matched *)
+  rw_hits : Obs.Metrics.counter;
+  rw_misses : Obs.Metrics.counter;
+}
+
+let make_rewriter memo catalog options rules =
+  { rw_catalog = catalog;
+    rw_rules = lazy (List.map instrument_rule rules);
+    rw_disabled = options.disabled;
+    rw_memo = memo;
+    rw_local = Hashtbl.create 1024;
+    rw_matched = Hashtbl.create 16;
+    rw_hits = Obs.Metrics.counter "optimizer.rewrite_memo.hits";
+    rw_misses = Obs.Metrics.counter "optimizer.rewrite_memo.misses" }
+
+let root_entry rw (n : H.node) =
+  let m = rw.rw_memo in
+  match Hashtbl.find_opt m.roots n.H.id with
+  | Some e ->
+    Obs.Metrics.incr rw.rw_hits;
+    e
+  | None ->
+    Obs.Metrics.incr rw.rw_misses;
+    let (rewrites, raised), matched =
+      Rule.collect_matched @@ fun () ->
+      List.fold_left
+        (fun (acc, raised) ir ->
+          match apply_rule rw.rw_catalog ir n.H.repr with
+          | out ->
+            ( List.fold_left (fun acc t' -> (ir.rule.name, H.intern t') :: acc) acc out,
+              raised )
+          | exception e -> (acc, (ir.rule.name, e) :: raised))
+        ([], []) (Lazy.force rw.rw_rules)
+    in
+    let rewrites = Array.of_list (List.rev rewrites) in
+    let names = Array.map fst rewrites and nodes = Array.map snd rewrites in
+    let e =
+      match raised with
+      | _ :: _ -> { shape = { names; matched; raised = List.rev raised }; nodes }
+      | [] ->
+        let proto =
+          match Hashtbl.find_opt m.shapes (names, matched) with
+          | Some p -> p
+          | None ->
+            let p = { shape = { names; matched; raised = [] }; nodes = [||] } in
+            Hashtbl.add m.shapes (names, matched) p;
+            p
+        in
+        if Array.length nodes = 0 then proto else { proto with nodes }
+    in
+    if Hashtbl.length m.roots >= roots_cap then begin
+      Hashtbl.reset m.roots;
+      Hashtbl.reset m.shapes
+    end;
+    Hashtbl.replace m.roots n.H.id e;
+    e
+
+let rec node_rewrites rw (n : H.node) : (string * H.node) list =
+  match Hashtbl.find_opt rw.rw_local n.H.id with
+  | Some r -> r
+  | None ->
+    let { shape; nodes } = root_entry rw n in
+    let enabled name = not (SSet.mem name rw.rw_disabled) in
+    (match List.find_opt (fun (name, _) -> enabled name) shape.raised with
+    | Some (_, exn) -> raise exn
+    | None -> ());
+    List.iter
+      (fun name -> if enabled name then Hashtbl.replace rw.rw_matched name ())
+      shape.matched;
+    let below = ref [] in
+    Array.iteri
+      (fun i kid ->
+        List.iter
+          (fun (name, kid') -> below := (name, H.rebuild n i kid') :: !below)
+          (node_rewrites rw kid))
+      n.H.kids;
+    (* Root rewrites first, then the children's, left to right. Dropping
+       disabled rules' rewrites keeps the registry order of the rest: the
+       list direct application of the enabled rules gives. *)
+    let r = ref (List.rev !below) in
+    for i = Array.length nodes - 1 downto 0 do
+      if enabled shape.names.(i) then r := (shape.names.(i), nodes.(i)) :: !r
+    done;
+    Hashtbl.replace rw.rw_local n.H.id !r;
+    !r
+
+(* Close a production exploration: record the matched rules into the
+   caller's collector and sample the table gauges. *)
+let finish_rewriter rw =
+  let matched = Hashtbl.fold (fun name () acc -> name :: acc) rw.rw_matched [] in
+  Rule.record_matched matched;
+  Obs.Metrics.gauge_set
+    (Obs.Metrics.gauge "optimizer.hashcons.nodes")
+    (float_of_int (H.live_nodes ()));
   if Obs.Metrics.enabled () then begin
-    (* Occupancy gauges: table *shape*, sampled once per explore (both
-       snapshots scan buckets, so keep them off the rewrite loop). *)
+    (* Occupancy gauges: table *shape*, sampled once per explore (the
+       snapshot scans buckets, so keep it off the rewrite loop). *)
     let occ = H.occupancy () in
     Obs.Metrics.gauge_set
       (Obs.Metrics.gauge "relalg.hashcons.load_factor")
@@ -213,20 +353,44 @@ let explore ~rewrites ~options ~rules catalog t0 : exploration =
     Obs.Metrics.gauge_max
       (Obs.Metrics.gauge "relalg.hashcons.longest_chain")
       (float_of_int occ.H.longest_chain);
-    Obs.Metrics.gauge_max
+    Obs.Metrics.gauge_set
       (Obs.Metrics.gauge "optimizer.rewrite_memo.entries")
-      (float_of_int (Hashtbl.length rw.rw_memo));
-    let ms = Hashtbl.stats rw.rw_memo in
-    Obs.Metrics.gauge_max
-      (Obs.Metrics.gauge "optimizer.rewrite_memo.longest_chain")
-      (float_of_int ms.Hashtbl.max_bucket_length)
+      (float_of_int (Hashtbl.length rw.rw_memo.roots))
   end;
-  if truncated then begin
-    Obs.Metrics.incr exhausted_counter;
-    Obs.Trace.instant "explore.budget_exhausted"
-      ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
-  end;
-  { nodes = List.rev !order; logical_exercised = !exercised; count = !count; truncated }
+  matched
+
+(* The production exploration: the previous closure when the call is
+   identical to the one that built it, else a fresh closure over the
+   memo. Either way the call is accounted as one exploration. *)
+let explore_memo ~options ~rules catalog t0 =
+  let n0 = H.intern t0 in
+  let m = memo_for catalog rules in
+  let x =
+    match m.last with
+    | Some l
+      when l.r_input = n0.H.id
+           && l.r_max_trees = options.max_trees
+           && l.r_max_growth = options.max_growth
+           && SSet.equal l.r_disabled options.disabled ->
+      if Obs.Metrics.enabled () then
+        Obs.Metrics.incr (Obs.Metrics.counter "optimizer.explore.reused");
+      Rule.record_matched l.r_matched;
+      l.r_exploration
+    | _ ->
+      let rw = make_rewriter m catalog options rules in
+      let x = explore ~rewrites:(node_rewrites rw) ~options n0 in
+      m.last <-
+        Some
+          { r_input = n0.H.id;
+            r_max_trees = options.max_trees;
+            r_max_growth = options.max_growth;
+            r_disabled = options.disabled;
+            r_exploration = x;
+            r_matched = finish_rewriter rw };
+      x
+  in
+  account x ~max_trees:options.max_trees;
+  x
 
 (* ------------------------------------------------------------------ *)
 (* Implementation (costing)                                            *)
@@ -480,15 +644,15 @@ let make_planner catalog options =
     memo_hits = Obs.Metrics.counter "optimizer.memo.hits";
     memo_misses = Obs.Metrics.counter "optimizer.memo.misses" }
 
-let optimize_with ~rewrites ?(options = default_options) ?(rules = Rules.all)
-    catalog t0 =
+let optimize_with ~explore ?(options = default_options) ?(rules = Rules.all) catalog
+    t0 =
   match Props.validate catalog t0 with
   | Error e -> Error ("invalid input tree: " ^ e)
   | Ok () ->
     let exploration =
       Obs.Trace.with_span "engine.explore"
         ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
-        (fun () -> explore ~rewrites ~options ~rules catalog t0)
+        (fun () -> explore ~options ~rules catalog t0)
     in
     let planner = make_planner catalog options in
     let best =
@@ -518,19 +682,34 @@ let optimize_with ~rewrites ?(options = default_options) ?(rules = Rules.all)
           budget_truncated = exploration.truncated })
 
 (* The per-tree reference engine: the same closure loop and costing
-   pass, fed by [rewrites_unmemoized] instead of the memo replay. *)
+   pass, fed by [rewrites_unmemoized] instead of the memo replay, and
+   neither reading nor filling the cross-call memo. *)
 module Reference = struct
-  let per_tree_rewrites rw (n : H.node) =
-    List.map
-      (fun (name, t') -> (name, H.intern t'))
-      (rewrites_unmemoized rw.rw_catalog rw.rw_rules n.H.repr)
+  let explore ~options ~rules catalog t0 =
+    let enabled =
+      List.filter_map
+        (fun (r : Rule.t) ->
+          if SSet.mem r.name options.disabled then None else Some (instrument_rule r))
+        rules
+    in
+    let rewrites (n : H.node) =
+      List.map
+        (fun (name, t') -> (name, H.intern t'))
+        (rewrites_unmemoized catalog enabled n.H.repr)
+    in
+    let x = explore ~rewrites ~options (H.intern t0) in
+    account x ~max_trees:options.max_trees;
+    x
 
   let optimize ?options ?rules catalog t0 =
-    optimize_with ~rewrites:per_tree_rewrites ?options ?rules catalog t0
+    optimize_with ~explore ?options ?rules catalog t0
+
+  let drop_memo = drop_memo
+  let memo_entries () = Hashtbl.length (Domain.DLS.get memo_key).roots
 end
 
 let optimize ?options ?rules catalog t0 =
-  optimize_with ~rewrites:node_rewrites ?options ?rules catalog t0
+  optimize_with ~explore:explore_memo ?options ?rules catalog t0
 
 let ruleset ?(options = default_options) ?(rules = Rules.all) catalog t0 =
   match Props.validate catalog t0 with
@@ -539,7 +718,7 @@ let ruleset ?(options = default_options) ?(rules = Rules.all) catalog t0 =
     let exploration =
       Obs.Trace.with_span "engine.explore"
         ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
-        (fun () -> explore ~rewrites:node_rewrites ~options ~rules catalog t0)
+        (fun () -> explore_memo ~options ~rules catalog t0)
     in
     Ok exploration.logical_exercised
 
@@ -590,9 +769,9 @@ let explore_shared ?(options = default_options) ?(rules = Rules.all) catalog t0 
     Obs.Trace.with_span "engine.explore_shared"
       ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
     @@ fun () ->
-    let rw = make_rewriter catalog options rules in
-    let fired = fired_counters () in
     let n0 = H.intern t0 in
+    let rw = make_rewriter (memo_for catalog rules) catalog options rules in
+    let tally = Hashtbl.create 16 in
     let max_size = n0.H.nsize + options.max_growth in
     let tags : (int, SSet.t list ref) Hashtbl.t = Hashtbl.create 256 in
     let order = ref [ n0 ] in
@@ -625,7 +804,7 @@ let explore_shared ?(options = default_options) ?(rules = Rules.all) catalog t0 
                 Hashtbl.replace tags n'.H.id sets;
                 order := n' :: !order;
                 Queue.add n' queue;
-                Obs.Metrics.incr (fired name);
+                note_fired tally name;
                 incr count
               end
               else truncated := true
@@ -642,6 +821,8 @@ let explore_shared ?(options = default_options) ?(rules = Rules.all) catalog t0 
           end)
         (node_rewrites rw n)
     done;
+    ignore (finish_rewriter rw : string list);
+    add_fired (fired_of tally);
     let nodes =
       Array.of_list
         (List.rev_map (fun n -> (n, !(Hashtbl.find tags n.H.id))) !order)

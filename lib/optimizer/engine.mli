@@ -19,13 +19,37 @@
 
     Internally every tree is hash-consed ({!Relalg.Hashcons}): the
     closure's seen set, the rewrite memo, the planner cache and the
-    cardinality memos all key on the interned node id — one int compare —
-    and the rewrites of each distinct subtree are computed once and
-    replayed for every containing tree (Cascades-memo behaviour). The
-    original recompute-per-tree engine survives only as {!Reference}, an
-    entry point for tests and benchmarks; both enumerate rewrites in the
-    same order, so they admit bit-identical closures even when
-    [max_trees] truncates — the equivalence the property tests assert. *)
+    cardinality memos all key on the interned node id — one int compare.
+
+    Exploration work outlives a single call. Each domain keeps one
+    rewrite memo for the (catalog, rule list) pair it last explored
+    with: it maps a node id to the node's root rewrites under {e every}
+    rule of the list, in registry order, plus the names of the rules
+    whose pattern accepted the root. A call reads root rewrites from it,
+    drops those of its disabled rules (which keeps the registry order of
+    the rest), and assembles whole-tree rewrite lists from the
+    children's (Cascades-memo behaviour). So one memo serves the
+    all-rules call and every [¬R] call on the same query, shared
+    exploration included. A call identical to the domain's previous
+    {!optimize} or {!ruleset} exploration — same catalog, rule list, input tree,
+    [max_trees], [max_growth] and disabled set — gets that closure back
+    without exploring.
+
+    Neither is visible in results: closures, truncation flags, costs
+    and plans are bit-identical to a cold call under any budget. Rules
+    are applied with the caller's matched-rule collector suspended and
+    their recorded names replayed into it on every use, so
+    {!Rule.collect_matched} dependency sets stay exact and never name a
+    disabled rule. A reused closure replays its own [fired] and [trees]
+    counts. The memo is dropped when the (catalog, rule list) pair
+    changes, by {!Relalg.Hashcons.clear} and past [2^18] entries; it is
+    never shared between domains and takes no lock.
+
+    The original recompute-per-tree engine survives only as
+    {!Reference}, an entry point for tests and benchmarks that neither
+    reads nor fills the memo; both enumerate rewrites in the same order,
+    so they admit bit-identical closures even when [max_trees]
+    truncates — the equivalence the property tests assert. *)
 
 module SSet : Set.S with type elt = string
 
@@ -76,6 +100,15 @@ module Reference : sig
       every explored tree instead of replayed from the per-subtree
       memo: the same closure loop, costing pass and result, only
       slower. *)
+
+  val drop_memo : unit -> unit
+  (** Drop the calling domain's rewrite memo and reusable closure, but
+      not the hash-cons table, so the next production call explores
+      cold — for benchmarks and tests that must time or check a cold
+      call. *)
+
+  val memo_entries : unit -> int
+  (** Nodes in the calling domain's rewrite memo. *)
 end
 
 val ruleset :
@@ -148,22 +181,34 @@ val shared_trees : shared -> int
     When [Obs.Metrics] collection is enabled the engine feeds:
 
     - ["optimizer.rule.attempts"{rule}] — rule application attempts
-      (one per rule per node of every *distinct* subtree; under
-      {!Reference.optimize}, of every node of every explored tree);
+      (one per rule of the list, disabled or not, per memo miss; under
+      {!Reference.optimize}, one per enabled rule per node of every
+      explored tree);
     - ["optimizer.rule.rewrites"{rule}] — rewrites those attempts
       produced (so [rewrites/attempts] is the rule's match rate);
     - ["optimizer.rule.match_ns"{rule}] — latency histogram of one
       application attempt, in nanoseconds;
     - ["optimizer.explore.trees"], ["optimizer.explore.queue_depth"],
       ["optimizer.explore.budget_exhausted"] — closure statistics;
+    - ["optimizer.explore.reused"] — calls served the domain's previous
+      closure;
     - ["optimizer.rewrite_memo.hits"/"optimizer.rewrite_memo.misses"] —
-      the per-subtree rewrite memo (hit rate is the Cascades-style
-      sharing factor of the closure);
+      root-rewrite lookups in the cross-call memo, one per distinct
+      subtree of each exploration (a miss applies every rule of the
+      list at that root);
+    - ["optimizer.rewrite_memo.entries"] — nodes in the calling
+      domain's memo (gauge);
     - ["optimizer.memo.hits"/"optimizer.memo.misses"] — the planner's
       per-subtree memo table;
     - ["optimizer.hashcons.nodes"] — live interned nodes (gauge);
     - ["optimizer.shared.explorations"/"optimizer.shared.cost_passes"] —
       shared-exploration usage.
+
+    ["optimizer.rule.fired"], ["optimizer.explore.trees"] and
+    ["optimizer.explore.budget_exhausted"] count logical explorations:
+    a reused closure adds its counts again, so N identical calls add N
+    times one call's counts, like [Framework.invocations]. Attempts,
+    rewrites and the memo counters measure the work actually done.
 
     With a trace sink installed, [optimize] wraps exploration and
     costing in ["engine.explore"]/["engine.cost"] spans (shared

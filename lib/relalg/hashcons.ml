@@ -1,48 +1,56 @@
 (* Hash-consed logical trees.
 
    Interning assigns every structurally distinct tree a unique integer
-   id; the returned node caches the full structural hash and the size,
-   and canonicalizes the tree so equal subtrees are physically shared.
-   On top of it, equality is [==], hashing is one int read, and every
-   tree-keyed table in the optimizer can key on [id] instead of deep
-   structural hashing (which, with [Hashtbl.hash]'s bounded traversal,
-   degenerated to linear collision scans on realistic query sizes).
+   id; the returned node caches the size, and canonicalizes the tree so
+   equal subtrees are physically shared. On top of it, equality is [==],
+   and every tree-keyed table in the optimizer can key on [id] instead of
+   deep structural hashing (which, with [Hashtbl.hash]'s bounded
+   traversal, degenerated to linear collision scans on realistic query
+   sizes).
 
-   The table is domain-local (Domain.DLS) and grows monotonically; each
-   domain interns without any synchronization. Ids are carved out of one
-   global atomic block allocator so they are unique process-wide and
-   stay valid for the lifetime of the process ([clear] drops the current
-   domain's table for test isolation but never reuses ids, so stale
-   id-keyed caches can miss, never lie — even when nodes from several
-   domains meet in one table). *)
+   The table is domain-local (Domain.DLS) and grows monotonically until
+   [clear]; each domain interns without any synchronization. Ids are
+   carved out of one global atomic block allocator so they are unique
+   process-wide and stay valid for the lifetime of the process ([clear]
+   drops the current domain's table for test isolation but never reuses
+   ids, so stale id-keyed caches can miss, never lie — even when nodes
+   from several domains meet in one table). *)
 
 module L = Logical
 
 type node = {
   repr : L.t;  (** canonical tree: children are canonical reprs *)
   id : int;
-  hkey : int;  (** = [Logical.hash repr], cached *)
   nsize : int;  (** = [Logical.size repr], cached *)
+  skey : int;  (** payload hash mixed with the children's ids *)
   kids : node array;
 }
 
-(* Shallow interning key: the node's payload plus the ids of its already
-   canonical children. Two trees are structurally equal iff their
-   payloads are equal and their children intern to the same ids. *)
-type key = { payload : L.t; kid_ids : int array }
+(* The table is keyed on the nodes themselves: a lookup builds a probe
+   node (the payload as given, its already canonical children and the
+   shallow key derived from them) and the table answers with the
+   canonical node equal to it. Two trees are structurally equal iff
+   their payloads are equal and their children are the same canonical
+   nodes, so [equal] compares the shallow key, the children by [==] and
+   the payload shallowly. Each node is stored once: there is no separate
+   key record or child-id array per entry.
 
+   The table hashes the shallow key, not the structural
+   [Logical.hash]: mixing in the children's unique ids spreads
+   near-identical trees (the placeholder trees of rule discovery) that
+   the polynomial structural hash packs into few buckets. *)
 module Tbl = Hashtbl.Make (struct
-  type t = key
+  type t = node
 
   let equal a b =
-    Array.length a.kid_ids = Array.length b.kid_ids
-    && (let n = Array.length a.kid_ids in
-        let rec same i = i >= n || (a.kid_ids.(i) = b.kid_ids.(i) && same (i + 1)) in
+    a.skey = b.skey
+    && Array.length a.kids = Array.length b.kids
+    && (let n = Array.length a.kids in
+        let rec same i = i >= n || (a.kids.(i) == b.kids.(i) && same (i + 1)) in
         same 0)
-    && L.payload_equal a.payload b.payload
+    && L.payload_equal a.repr b.repr
 
-  let hash k =
-    Array.fold_left Scalar.hash_combine (L.payload_hash k.payload) k.kid_ids
+  let hash n = n.skey
 end)
 
 (* Per-domain interning state. Ids come from fixed-size blocks handed
@@ -86,8 +94,11 @@ let fresh_id st =
   id
 
 let node_of st (payload : L.t) (kids : node array) : node =
-  let key = { payload; kid_ids = Array.map (fun k -> k.id) kids } in
-  match Tbl.find_opt st.table key with
+  let skey =
+    Array.fold_left (fun h k -> Scalar.hash_combine h k.id) (L.payload_hash payload) kids
+  in
+  let probe = { repr = payload; id = -1; nsize = 0; skey; kids } in
+  match Tbl.find_opt st.table probe with
   | Some n ->
     st.hit_count <- st.hit_count + 1;
     n
@@ -100,15 +111,9 @@ let node_of st (payload : L.t) (kids : node array) : node =
       if List.for_all2 ( == ) (L.children payload) canonical_kids then payload
       else L.with_children payload canonical_kids
     in
-    let hkey =
-      Array.fold_left
-        (fun h k -> Scalar.hash_combine h k.hkey)
-        (L.payload_hash payload) kids
-    in
     let nsize = Array.fold_left (fun s k -> s + k.nsize) 1 kids in
-    let id = fresh_id st in
-    let n = { repr; id; hkey; nsize; kids } in
-    Tbl.replace st.table key n;
+    let n = { repr; id = fresh_id st; nsize; skey; kids } in
+    Tbl.replace st.table n n;
     n
 
 let intern (t : L.t) : node =
@@ -132,7 +137,7 @@ let rebuild (n : node) i (kid : node) : node =
 
 let repr n = n.repr
 let id n = n.id
-let hash n = n.hkey
+let hash n = L.hash n.repr
 let size n = n.nsize
 let equal (a : node) (b : node) = a == b
 let live_nodes () = Tbl.length (state ()).table
@@ -155,8 +160,15 @@ let occupancy () =
        else float_of_int s.Hashtbl.num_bindings /. float_of_int s.Hashtbl.num_buckets);
     longest_chain = s.Hashtbl.max_bucket_length }
 
+(* Run by [clear] on the calling domain: caches holding this domain's
+   nodes (the engine's rewrite memo) register here at module
+   initialisation so they are dropped together with the table. *)
+let clear_hooks : (unit -> unit) list ref = ref []
+let on_clear f = clear_hooks := f :: !clear_hooks
+
 let clear () =
   let st = state () in
   Tbl.reset st.table;
   st.hit_count <- 0;
-  st.miss_count <- 0
+  st.miss_count <- 0;
+  List.iter (fun f -> f ()) !clear_hooks

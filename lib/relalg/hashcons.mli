@@ -1,5 +1,5 @@
-(** Hash-consed logical trees: unique node ids, O(1) equality/hash,
-    cached size, maximal physical sharing of equal subtrees.
+(** Hash-consed logical trees: unique node ids, O(1) equality, cached
+    size, maximal physical sharing of equal subtrees.
 
     {!intern} walks a tree bottom-up once; every structurally distinct
     subtree is assigned a unique id and canonicalized so equal subtrees
@@ -19,14 +19,24 @@
     therefore miss (recompute) but never alias two different trees.
     {!clear} and the {!hits}/{!misses}/{!live_nodes} introspection are
     likewise per-domain. See DESIGN.md §10 for the trade-off against a
-    shared mutex-protected table. *)
+    shared mutex-protected table.
+
+    Table layout: the table is keyed on the nodes themselves. A lookup
+    builds a probe node from the payload and the already canonical
+    children; the table hashes the probe's shallow key ([skey]),
+    compares the children by [==] and the payload shallowly, and answers
+    with the canonical node. Each interned tree therefore costs one node
+    record, one bucket and its [kids] array — no separate key record or
+    child-id array. *)
 
 type node = private {
   repr : Logical.t;
       (** the canonical tree; children are themselves canonical reprs *)
   id : int;  (** unique per structurally distinct tree, never reused *)
-  hkey : int;  (** cached [Logical.hash repr] *)
   nsize : int;  (** cached [Logical.size repr] *)
+  skey : int;
+      (** shallow key: the payload's hash mixed with the children's ids —
+          the interning table's hash *)
   kids : node array;  (** canonical children, in order *)
 }
 
@@ -43,6 +53,9 @@ val rebuild : node -> int -> node -> node
 val repr : node -> Logical.t
 val id : node -> int
 val hash : node -> int
+(** [Logical.hash (repr n)], recomputed: O(size). Tables of nodes key on
+    {!id} instead. *)
+
 val size : node -> int
 
 val equal : node -> node -> bool
@@ -67,4 +80,14 @@ val occupancy : unit -> occupancy
     ([Hashtbl.stats]); call at phase boundaries, not per intern. *)
 
 val clear : unit -> unit
-(** Drop the table (test isolation). Ids are not reused. *)
+(** Drop the calling domain's table, and with it every cache registered
+    through {!on_clear} — in particular the optimizer engine's
+    cross-call rewrite memo and reusable closure, which hold nodes of
+    this table — so a following [Gc.compact] reclaims all of them. Used
+    for test isolation and between benchmark sections. Ids are not
+    reused. *)
+
+val on_clear : (unit -> unit) -> unit
+(** [on_clear f] makes every later {!clear} run [f] on the clearing
+    domain. For caches that hold interned nodes; register once, at
+    module initialisation. *)

@@ -243,6 +243,78 @@ let test_shared_cost_all_impl_disabled () =
   check bool_t "no plan when all impl rules disabled" true
     (Result.is_error (E.shared_cost sh ~disabled))
 
+(* ------------------------------------------------------------------ *)
+(* Cross-call rewrite memo and closure reuse                            *)
+(* ------------------------------------------------------------------ *)
+
+module M = Obs.Metrics
+
+let matched_names f = snd (Optimizer.Rule.collect_matched f)
+
+let test_memo_matched_names () =
+  let off = [ "JoinCommute"; "PushSelectBelowJoin" ] in
+  let options = disabled_options off in
+  let names optimize = matched_names (fun () -> ignore (Result.get_ok (optimize ()))) in
+  Hashcons.clear ();
+  let cold = names (fun () -> E.optimize ~options cat filtered) in
+  let reference = names (fun () -> E.Reference.optimize ~options cat filtered) in
+  (* The all-rules call fills the memo with the disabled rules' entries too. *)
+  let all_rules = names (fun () -> E.optimize cat filtered) in
+  let warm = names (fun () -> E.optimize ~options cat filtered) in
+  let reused = names (fun () -> E.optimize ~options cat filtered) in
+  let names_t = Alcotest.(list string) in
+  check names_t "cold = reference" reference cold;
+  check names_t "warm = cold" cold warm;
+  check names_t "reused closure = cold" cold reused;
+  check bool_t "all-rules call matched JoinCommute" true (List.mem "JoinCommute" all_rules);
+  List.iter
+    (fun r -> check bool_t (r ^ " disabled, never reported") false (List.mem r warm))
+    off
+
+let test_reuse_counts_logical_calls () =
+  M.clear ();
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      M.set_enabled false;
+      M.clear ())
+  @@ fun () ->
+  let counts () =
+    ( M.counter_total "optimizer.explore.trees",
+      List.map
+        (fun r -> M.counter_total ~label:r "optimizer.rule.fired")
+        Optimizer.Rules.names )
+  in
+  let call () = ignore (Result.get_ok (E.optimize cat filtered)) in
+  Hashcons.clear ();
+  call ();
+  let trees, fired = counts () in
+  check bool_t "one call fired some rule" true (List.exists (fun c -> c > 0) fired);
+  let times k = (k * trees, List.map (( * ) k) fired) in
+  let counts_t = Alcotest.(pair int (list int)) in
+  M.reset ();
+  for _ = 1 to 5 do call () done;
+  check counts_t "5 inline calls count 5 explorations" (times 5) (counts ());
+  check int_t "all 5 served the previous closure" 5
+    (M.counter_total "optimizer.explore.reused");
+  M.reset ();
+  let pool = Par.Pool.create ~jobs:4 () in
+  ignore (Par.Pool.map_list pool call (List.init 8 (fun _ -> ())));
+  check counts_t "8 pooled calls count 8 explorations" (times 8) (counts ())
+
+let test_memo_dropped () =
+  ignore (E.optimize cat filtered);
+  check bool_t "memo filled" true (E.Reference.memo_entries () > 0);
+  Hashcons.clear ();
+  check int_t "empty after Hashcons.clear" 0 (E.Reference.memo_entries ());
+  ignore (E.optimize cat filtered);
+  (* A one-node tree under another registry: the memo now holds that
+     node alone, nothing of the previous registry's. *)
+  let registry = [ Optimizer.Rules.find_exn "JoinCommute" ] in
+  ignore (E.optimize ~rules:registry cat get1);
+  check int_t "registry switch starts a new memo" 1 (E.Reference.memo_entries ());
+  E.Reference.drop_memo ();
+  check int_t "empty after drop_memo" 0 (E.Reference.memo_entries ())
+
 let suite =
   [ ( "optimizer.engine",
       [ Alcotest.test_case "ruleset tracking" `Quick test_ruleset_tracking;
@@ -260,4 +332,23 @@ let suite =
         Alcotest.test_case "growth cap" `Quick test_growth_cap;
         Alcotest.test_case "exploration finds cheaper plans" `Quick
           test_exploration_finds_cheaper_plan;
-        Alcotest.test_case "custom rule registry" `Quick test_custom_rules_param ] ) ]
+        Alcotest.test_case "custom rule registry" `Quick test_custom_rules_param;
+        Alcotest.test_case "memoized exploration = reference" `Quick
+          test_memoize_equivalent;
+        Alcotest.test_case "closure dedup" `Quick test_closure_dedup;
+        Alcotest.test_case "budget truncation invariants" `Quick
+          test_budget_truncated_invariants;
+        Alcotest.test_case "shared cost, nothing disabled" `Quick
+          test_shared_cost_empty_disabled;
+        Alcotest.test_case "shared cost, one rule disabled" `Quick
+          test_shared_cost_singleton_disabled;
+        Alcotest.test_case "shared cost conservative" `Quick
+          test_shared_cost_conservative;
+        Alcotest.test_case "shared cost, impl rules disabled" `Quick
+          test_shared_cost_all_impl_disabled;
+        Alcotest.test_case "memo: matched names cold = warm" `Quick
+          test_memo_matched_names;
+        Alcotest.test_case "memo: reuse counts logical calls" `Quick
+          test_reuse_counts_logical_calls;
+        Alcotest.test_case "memo: dropped on clear and switch" `Quick
+          test_memo_dropped ] ) ]

@@ -393,6 +393,55 @@ let prop_memoized_engine_equivalent =
              (L.to_string t)
       | _ -> QCheck.Test.fail_reportf "one engine failed, the other did not")
 
+(* The cross-call rewrite memo and closure reuse are invisible: a call
+   served from a memo warmed by other disabled sets, or handed the
+   previous closure, equals a cold call (after [Hashcons.clear]) and the
+   per-tree reference — under budgets small enough to truncate. *)
+let prop_warm_memo_equals_cold =
+  QCheck.Test.make ~name:"warm rewrite memo equals cold and reference" ~count:20
+    seed_arb (fun seed ->
+      let module E = Optimizer.Engine in
+      let t = random_tree cat seed in
+      let g = Prng.create (seed + 1) in
+      let options = { quick_options with max_trees = 5 + Prng.int g 60 } in
+      let subset () =
+        E.SSet.of_list (Prng.sample g (Prng.int g 4) Optimizer.Rules.names)
+      in
+      let sets = [ subset (); subset (); E.SSet.empty; subset () ] in
+      let optimize disabled = E.optimize ~options:{ options with disabled } cat t in
+      let same (a : (E.result, string) result) (b : (E.result, string) result) =
+        match (a, b) with
+        | Error _, Error _ -> true
+        | Ok a, Ok b ->
+          Optimizer.Physical.equal a.plan b.plan
+          && a.cost = b.cost
+          && E.SSet.equal a.exercised b.exercised
+          && a.trees_explored = b.trees_explored
+          && a.budget_truncated = b.budget_truncated
+        | _ -> false
+      in
+      ignore (E.optimize ~options cat t);
+      let warm = List.map optimize sets in
+      let reused = List.map (fun d -> ignore (optimize d); optimize d) sets in
+      let cold =
+        List.map
+          (fun d ->
+            Relalg.Hashcons.clear ();
+            optimize d)
+          sets
+      in
+      let reference =
+        List.map
+          (fun disabled ->
+            E.Reference.optimize ~options:{ options with disabled } cat t)
+          sets
+      in
+      List.for_all2 same warm cold
+      && List.for_all2 same reused cold
+      && List.for_all2 same reference cold
+      || QCheck.Test.fail_reportf "warm, reused, cold or reference diverged (budget %d) on\n%s"
+           options.max_trees (L.to_string t))
+
 (* Shared exploration with nothing disabled is exactly a full optimize;
    with a disabled set it can only overestimate (§5.2 direction). *)
 let prop_shared_cost_consistent =
@@ -486,5 +535,6 @@ let suite =
         to_alco prop_refresh_labels_disjoint;
         to_alco prop_pad_grows;
         to_alco prop_memoized_engine_equivalent;
+        to_alco prop_warm_memo_equals_cold;
         to_alco prop_shared_cost_consistent;
         to_alco prop_ruleset_subset_of_registry ] ) ]
