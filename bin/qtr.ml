@@ -5,22 +5,26 @@
      qtr generate --rule JoinCommute   emit a SQL test case for a rule
      qtr generate --pair A,B           ... for a rule pair
      qtr coverage --rules 30           Figure-8-style coverage table
-     qtr compress --rules 10 --k 5     compare BASELINE/SMC/TOPK
-     qtr validate --rules 10 --k 3     run correctness testing
+     qtr compress --rules 10 -k 5      compare BASELINE/SMC/TOPK
+     qtr validate --rules 10 -k 3      run correctness testing
      qtr validate --inject SelectMerge ... with a buggy rule injected
      qtr reduce --inject SelectMerge --corpus corpus/
                                        minimize + dedup + persist reproducers
      qtr replay --corpus corpus/       re-execute the regression corpus
      qtr discover --alphabet setops    mine/validate/rank/promote rewrite rules
+     qtr verify-rules                  check DSL rules with the symbolic oracle
      qtr delta --cache-dir DIR         preview the reusable incremental slice
      qtr stats                         per-rule optimizer metrics table
      qtr profile --jobs 4              in-process span profile of a workload
-     qtr report --rules 10 --k 3       one-shot campaign summary (text/JSON)
+     qtr report --rules 10 -k 3        one-shot campaign summary (text/JSON)
      qtr bench-diff OLD NEW            regression-gate two bench result files
 
-   Every subcommand accepts --trace FILE to record a Chrome trace-event
-   JSONL trace (which also turns metrics collection on); most accept
-   --json for machine-readable output. *)
+   Every subcommand but rules and bench-diff accepts --trace FILE to
+   record a Chrome trace-event JSONL trace (which also turns metrics
+   collection on); most accept --json for machine-readable output.
+   compress, validate, reduce, stats and report share one option set
+   (the campaign term below), and the first four of them run the one
+   campaign pipeline of [run_campaign]. *)
 
 open Cmdliner
 open Storage
@@ -93,6 +97,26 @@ let setup_cache cache_dir cat =
       (Some (dc, Printf.sprintf "cat-%x" (Catalog.content_hash cat)));
     Some dc
 
+(* The options of every command that runs a campaign over the TPC-H
+   catalog: compress, validate, reduce, stats and report. *)
+type campaign = {
+  scale : float;
+  budget : int;
+  seed : int;
+  jobs : int option;
+  cache_dir : string option;
+  trace : string option;
+}
+
+let campaign_term =
+  Term.(
+    const (fun scale budget seed jobs cache_dir trace ->
+        { scale; budget; seed; jobs; cache_dir; trace })
+    $ scale_arg $ budget_arg $ seed_arg $ jobs_arg $ cache_dir_arg $ trace_arg)
+
+let inject_arg doc =
+  Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"RULE" ~doc)
+
 let incremental_flag =
   Arg.(
     value & flag
@@ -122,27 +146,20 @@ let compress_desc ~seed ~n ~k ~pairs ~budget =
   Printf.sprintf "compress|seed=%d|n=%d|k=%d|pairs=%b|budget=%d|extra=2|gen=pattern"
     seed n k pairs budget
 
-let incr_session ~incremental ~disk ~desc fw =
-  match (incremental, disk) with
-  | false, _ -> None
-  | true, None ->
-    Printf.eprintf "qtr: --incremental requires --cache-dir\n";
-    exit 1
-  | true, Some dc -> Some (Core.Incr.start ~dc ~desc fw)
+let rules_changed_json changed =
+  Obs.Json.List
+    (List.map
+       (fun (name, change) ->
+         Obs.Json.Obj
+           [ ("rule", Obs.Json.String name); ("change", Obs.Json.String change) ])
+       changed)
 
 let delta_report_json sess =
   let r = Core.Incr.result sess in
   Obs.Json.Obj
     [ ("cold", Obs.Json.Bool (Core.Incr.cold sess));
       ("full_rebuild", Obs.Json.Bool r.full_rebuild);
-      ( "rules_changed",
-        Obs.Json.List
-          (List.map
-             (fun (name, change) ->
-               Obs.Json.Obj
-                 [ ("rule", Obs.Json.String name);
-                   ("change", Obs.Json.String change) ])
-             r.rules_changed) );
+      ("rules_changed", rules_changed_json r.rules_changed);
       ("targets_reused", Obs.Json.Int r.targets_reusable);
       ("targets_total", Obs.Json.Int r.targets_total);
       ("entries_reused", Obs.Json.Int r.entries_reused);
@@ -186,6 +203,73 @@ let make_fw ?rules scale budget =
   let cat = Datagen.tpch ~scale () in
   let options = { Optimizer.Engine.default_options with max_trees = budget } in
   Core.Framework.create ~options ?rules cat
+
+let first_rules n = List.filteri (fun i _ -> i < n) Optimizer.Rules.names
+
+(* A generated suite and the one edge-cost service that every algorithm
+   of the command shares. *)
+type run = {
+  pool : Par.Pool.t;
+  fw : Core.Framework.t;
+  suite : Core.Suite.t;
+  ec : Core.Compress.edge_costs;
+  sess : Core.Incr.t option;
+}
+
+(* The campaign pipeline of compress, validate, reduce and report: the
+   framework and the disk tier; with [?manifest] (the manifest
+   description, given under --incremental) an incremental session; the
+   suite; and one edge-cost service, warmed from the disk tier and the
+   manifest, shared by every algorithm [solve] runs. [announce] runs just
+   before generation. The session records the solved service in its
+   manifest before this returns. *)
+let run_campaign c ?rules ?manifest ?(announce = ignore) ~targets ~k solve =
+  let pool = pool_of c.jobs in
+  let fw = make_fw ?rules c.scale c.budget in
+  let disk = setup_cache c.cache_dir (Core.Framework.catalog fw) in
+  let sess =
+    match (manifest, disk) with
+    | None, _ -> None
+    | Some _, None ->
+      Printf.eprintf "qtr: --incremental requires --cache-dir\n";
+      exit 1
+    | Some desc, Some dc -> Some (Core.Incr.start ~dc ~desc fw)
+  in
+  announce pool;
+  let g = Prng.create c.seed in
+  let suite =
+    match sess with
+    | Some s -> Core.Incr.generate ~extra_ops:2 ~pool s g ~targets ~k
+    | None -> Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k
+  in
+  let ec =
+    Core.Compress.edge_costs ?disk
+      ?warm_edges:(Option.map Core.Incr.warm_edges sess)
+      fw suite
+  in
+  let r = { pool; fw; suite; ec; sess } in
+  let solved = solve r in
+  Option.iter
+    (fun s ->
+      Core.Incr.note_matrix s ec;
+      if not (Core.Incr.finish s) then Printf.eprintf "warning: manifest write failed\n")
+    sess;
+  (r, solved)
+
+(* The stochastic TPC-H workload of stats and profile: queries generated
+   sequentially from one PRNG stream, then each optimized (and its
+   outcome passed to [f]) as one task with its own fresh-name range, so
+   the results are identical for every --jobs. *)
+let stochastic_workload ~pool ~seed ~queries fw f =
+  let ctx = { Core.Arggen.g = Prng.create seed; cat = Core.Framework.catalog fw } in
+  let qs =
+    Array.init queries (fun _ -> Core.Random_gen.generate ~min_ops:3 ~max_ops:8 ctx)
+  in
+  Par.Pool.map_array pool
+    (fun (i, q) ->
+      Relalg.Ident.set_fresh ((i + 1) * 100_000);
+      f (Core.Framework.optimize fw q))
+    (Array.mapi (fun i q -> (i, q)) qs)
 
 (* ------------------------------------------------------------------ *)
 (* Attribution rendering (shared by stats / profile / report)          *)
@@ -523,7 +607,7 @@ let coverage_cmd =
     with_telemetry trace @@ fun () ->
     let pool = pool_of jobs in
     let fw = make_fw scale budget in
-    let rules = List.filteri (fun i _ -> i < n) Optimizer.Rules.names in
+    let rules = first_rules n in
     (* Each rule is one task with its own seed and alias range, so the
        trial counts are independent of the job count. *)
     let rows =
@@ -584,59 +668,37 @@ let pairs_flag =
   Arg.(value & flag & info [ "pairs" ] ~doc:"Target rule pairs instead of singletons.")
 
 let compress_cmd =
-  let run scale budget seed n k pairs incremental sim jobs cache_dir trace json =
-    with_telemetry trace @@ fun () ->
-    let pool = pool_of jobs in
-    let rules_override = Option.map (fun r -> Optimizer.Rules.simulate_edit r) sim in
-    let fw = make_fw ?rules:rules_override scale budget in
-    let disk = setup_cache cache_dir (Core.Framework.catalog fw) in
-    let g = Prng.create seed in
-    let rules = List.filteri (fun i _ -> i < n) Optimizer.Rules.names in
+  let run c n k pairs incremental sim json =
+    with_telemetry c.trace @@ fun () ->
+    let rules = Option.map (fun r -> Optimizer.Rules.simulate_edit r) sim in
     let targets =
-      if pairs then Core.Suite.all_pairs rules
-      else List.map (fun r -> Core.Suite.Single r) rules
+      let names = first_rules n in
+      if pairs then Core.Suite.all_pairs names
+      else List.map (fun r -> Core.Suite.Single r) names
     in
-    let sess =
-      incr_session ~incremental ~disk
-        ~desc:(compress_desc ~seed ~n ~k ~pairs ~budget)
-        fw
+    let manifest =
+      if incremental then
+        Some (compress_desc ~seed:c.seed ~n ~k ~pairs ~budget:c.budget)
+      else None
     in
-    if not json then
-      Printf.printf "generating suite: %d targets x k=%d...\n%!" (List.length targets) k;
-    let suite =
-      match sess with
-      | Some s -> Core.Incr.generate ~extra_ops:2 ~pool s g ~targets ~k
-      | None -> Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k
-    in
-    if not json then
-      Printf.printf "%d distinct queries (shortfalls %d)\n%!"
-        (Array.length suite.entries)
-        (List.length (Core.Suite.shortfall suite));
-    let algos =
-      match sess with
-      | None ->
-        [ ("BASELINE", Core.Compress.baseline ~pool ?disk fw suite);
-          ("SMC", Core.Compress.smc ~pool ?disk fw suite);
-          ("TOPK", Core.Compress.topk ~pool ?disk fw suite);
-          ("TOPK+mono", Core.Compress.topk ~exploit_monotonicity:true ?disk fw suite) ]
-      | Some s ->
-        (* One manifest-warmed service shared across the algorithms:
-           every cell is computed (or served warm) once, and the solved
-           service is snapshotted into the next manifest. *)
-        let ec =
-          Core.Compress.edge_costs ?disk ~warm_edges:(Core.Incr.warm_edges s) fw
-            suite
-        in
-        let algos =
-          [ ("BASELINE", Core.Compress.baseline ~pool ~ec fw suite);
-            ("SMC", Core.Compress.smc ~pool ~ec fw suite);
-            ("TOPK", Core.Compress.topk ~pool ~ec fw suite);
-            ("TOPK+mono", Core.Compress.topk ~exploit_monotonicity:true ~ec fw suite) ]
-        in
-        Core.Incr.note_matrix s ec;
-        if not (Core.Incr.finish s) then
-          Printf.eprintf "warning: manifest write failed\n";
-        algos
+    let { pool; suite; sess; _ }, algos =
+      run_campaign c ?rules ?manifest ~targets ~k
+        ~announce:(fun _ ->
+          if not json then
+            Printf.printf "generating suite: %d targets x k=%d...\n%!"
+              (List.length targets) k)
+        (fun { pool; fw; suite; ec; _ } ->
+          if not json then
+            Printf.printf "%d distinct queries (shortfalls %d)\n%!"
+              (Array.length suite.entries)
+              (List.length (Core.Suite.shortfall suite));
+          (* In printed order, so trace spans and matrix spills follow
+             the output. *)
+          let baseline = Core.Compress.baseline ~pool ~ec fw suite in
+          let smc = Core.Compress.smc ~pool ~ec fw suite in
+          let topk = Core.Compress.topk ~pool ~ec fw suite in
+          let mono = Core.Compress.topk ~exploit_monotonicity:true ~ec fw suite in
+          [ ("BASELINE", baseline); ("SMC", smc); ("TOPK", topk); ("TOPK+mono", mono) ])
     in
     if json then begin
       let doc =
@@ -687,65 +749,45 @@ let compress_cmd =
   Cmd.v
     (Cmd.info "compress" ~doc:"Test-suite compression: BASELINE vs SMC vs TOPK")
     Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ pairs_flag
-      $ incremental_flag $ simulate_edit_arg $ jobs_arg $ cache_dir_arg $ trace_arg
-      $ json_arg)
+      const run $ campaign_term $ n_rules_arg $ k_arg $ pairs_flag $ incremental_flag
+      $ simulate_edit_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr validate                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Single-rule targets: the injected fault's victim alone, else the
+   first [n] registry rules. *)
+let fault_targets inject n =
+  List.map
+    (fun r -> Core.Suite.Single r)
+    (match inject with Some victim -> [ victim ] | None -> first_rules n)
+
 let validate_cmd =
   let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"RULE"
-          ~doc:
-            "Inject the buggy variant of RULE (one of the Faults registry) before \
-             validating.")
+    inject_arg
+      "Inject the buggy variant of RULE (one of the Faults registry) before \
+       validating."
   in
-  let run scale budget seed n k inject incremental jobs cache_dir trace =
-    with_telemetry trace @@ fun () ->
-    let pool = pool_of jobs in
-    let rules_override = Option.map Core.Faults.inject inject in
-    let fw = make_fw ?rules:rules_override scale budget in
-    let disk = setup_cache cache_dir (Core.Framework.catalog fw) in
-    let g = Prng.create seed in
-    let rules =
-      match inject with
-      | Some victim -> [ victim ]
-      | None -> List.filteri (fun i _ -> i < n) Optimizer.Rules.names
-    in
-    let targets = List.map (fun r -> Core.Suite.Single r) rules in
+  let run c n k inject incremental =
+    with_telemetry c.trace @@ fun () ->
+    let targets = fault_targets inject n in
     (* An injected fault changes the victim's fingerprint (its variant
        carries a distinct version tag), so an incremental validate after
        a clean one regenerates exactly the slices the fault can reach. *)
-    let desc =
-      Printf.sprintf "validate|seed=%d|n=%d|k=%d|inject=%s|budget=%d" seed n k
-        (Option.value inject ~default:"-")
-        budget
+    let manifest =
+      if incremental then
+        Some
+          (Printf.sprintf "validate|seed=%d|n=%d|k=%d|inject=%s|budget=%d" c.seed n k
+             (Option.value inject ~default:"-")
+             c.budget)
+      else None
     in
-    let sess = incr_session ~incremental ~disk ~desc fw in
-    Printf.printf "generating suite: %d rules x k=%d...\n%!" (List.length targets) k;
-    let suite =
-      match sess with
-      | Some s -> Core.Incr.generate ~extra_ops:2 ~pool s g ~targets ~k
-      | None -> Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k
-    in
-    let sol =
-      match sess with
-      | None -> Core.Compress.topk ~pool ?disk fw suite
-      | Some s ->
-        let ec =
-          Core.Compress.edge_costs ?disk ~warm_edges:(Core.Incr.warm_edges s) fw
-            suite
-        in
-        let sol = Core.Compress.topk ~pool ~ec fw suite in
-        Core.Incr.note_matrix s ec;
-        if not (Core.Incr.finish s) then
-          Printf.eprintf "warning: manifest write failed\n";
-        sol
+    let { pool; fw; suite; sess; _ }, sol =
+      run_campaign c ?rules:(Option.map Core.Faults.inject inject) ?manifest ~targets ~k
+        ~announce:(fun _ ->
+          Printf.printf "generating suite: %d rules x k=%d...\n%!" (List.length targets) k)
+        (fun { pool; fw; suite; ec; _ } -> Core.Compress.topk ~pool ~ec fw suite)
     in
     Option.iter print_delta_summary sess;
     List.iter
@@ -761,8 +803,7 @@ let validate_cmd =
     (Cmd.info "validate"
        ~doc:"Execute a compressed correctness suite (optionally with a fault injected)")
     Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ inject
-      $ incremental_flag $ jobs_arg $ cache_dir_arg $ trace_arg)
+      const run $ campaign_term $ n_rules_arg $ k_arg $ inject $ incremental_flag)
 
 (* ------------------------------------------------------------------ *)
 (* qtr delta                                                           *)
@@ -790,14 +831,7 @@ let delta_cmd =
         Obs.Json.Obj
           [ ("manifest_found", Obs.Json.Bool p.manifest_found);
             ("rules_total", Obs.Json.Int p.rules_total);
-            ( "rules_changed",
-              Obs.Json.List
-                (List.map
-                   (fun (name, change) ->
-                     Obs.Json.Obj
-                       [ ("rule", Obs.Json.String name);
-                         ("change", Obs.Json.String change) ])
-                   p.rules_changed) );
+            ("rules_changed", rules_changed_json p.rules_changed);
             ("full_rebuild", Obs.Json.Bool p.full_rebuild);
             ("targets_reusable", Obs.Json.Int p.targets_reusable);
             ("targets_total", Obs.Json.Int p.targets_total);
@@ -840,13 +874,7 @@ let delta_cmd =
 (* ------------------------------------------------------------------ *)
 
 let reduce_cmd =
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"RULE"
-          ~doc:"Inject the buggy variant of RULE (one of the Faults registry).")
-  in
+  let inject = inject_arg "Inject the buggy variant of RULE (one of the Faults registry)." in
   let corpus =
     Arg.(
       value
@@ -862,24 +890,18 @@ let reduce_cmd =
       & info [ "max-checks" ] ~docv:"N"
           ~doc:"Oracle-evaluation budget per bug during delta reduction.")
   in
-  let run scale budget seed n k inject corpus max_checks jobs cache_dir trace json =
-    with_telemetry trace @@ fun () ->
+  let run c n k inject corpus max_checks json =
+    with_telemetry c.trace @@ fun () ->
     if json then Obs.Metrics.set_enabled true;
-    let pool = pool_of jobs in
-    let rules_override = Option.map Core.Faults.inject inject in
-    let fw = make_fw ?rules:rules_override scale budget in
-    let disk = setup_cache cache_dir (Core.Framework.catalog fw) in
-    let g = Prng.create seed in
-    let rules =
-      match inject with
-      | Some victim -> [ victim ]
-      | None -> List.filteri (fun i _ -> i < n) Optimizer.Rules.names
+    let targets = fault_targets inject n in
+    let { pool; fw; suite; _ }, sol =
+      run_campaign c ?rules:(Option.map Core.Faults.inject inject) ~targets ~k
+        ~announce:(fun _ ->
+          if not json then
+            Printf.printf "generating suite: %d rules x k=%d...\n%!"
+              (List.length targets) k)
+        (fun { pool; fw; suite; ec; _ } -> Core.Compress.topk ~pool ~ec fw suite)
     in
-    let targets = List.map (fun r -> Core.Suite.Single r) rules in
-    if not json then
-      Printf.printf "generating suite: %d rules x k=%d...\n%!" (List.length targets) k;
-    let suite = Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k in
-    let sol = Core.Compress.topk ~pool ?disk fw suite in
     let report = Core.Correctness.run ~pool fw suite sol in
     if not json then Format.printf "%a@." Core.Correctness.pp_report report;
     let triaged = Triage.Pipeline.triage ~max_checks ~pool fw report in
@@ -887,8 +909,8 @@ let reduce_cmd =
     | None -> ()
     | Some dir -> (
       match
-        Triage.Pipeline.save_corpus ~dir ~catalog:(Triage.Corpus.Tpch scale) ~budget
-          ?fault:inject (Core.Framework.catalog fw) triaged
+        Triage.Pipeline.save_corpus ~dir ~catalog:(Triage.Corpus.Tpch c.scale)
+          ~budget:c.budget ?fault:inject (Core.Framework.catalog fw) triaged
       with
       | Ok paths ->
         if not json then
@@ -911,8 +933,8 @@ let reduce_cmd =
          "Validate, then delta-reduce every bug to a minimal reproducer, dedup by \
           signature, and optionally persist the regression corpus")
     Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ inject
-      $ corpus $ max_checks $ jobs_arg $ cache_dir_arg $ trace_arg $ json_arg)
+      const run $ campaign_term $ n_rules_arg $ k_arg $ inject $ corpus $ max_checks
+      $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr replay                                                          *)
@@ -1022,28 +1044,16 @@ let stats_cmd =
           ~doc:"Sort column: $(b,attempts), $(b,rewrites), $(b,fired), $(b,rate), \
                 $(b,mean) (latency) or $(b,total) (time).")
   in
-  let run scale budget seed queries sort jobs cache_dir trace json =
-    with_telemetry trace @@ fun () ->
+  let run c queries sort json =
+    with_telemetry c.trace @@ fun () ->
     Obs.Metrics.set_enabled true;
-    let pool = pool_of jobs in
-    let fw = make_fw scale budget in
+    let pool = pool_of c.jobs in
+    let fw = make_fw c.scale c.budget in
     let cat = Core.Framework.catalog fw in
-    let dc_opt = setup_cache cache_dir cat in
-    let ctx = { Core.Arggen.g = Prng.create seed; cat } in
-    (* Queries are generated sequentially (one PRNG stream), then
-       optimized as one task each with its own fresh-name range — the
-       per-rule table is identical for every --jobs, and a parallel run
-       additionally populates the pool-utilization lines below. *)
-    let qs =
-      Array.init queries (fun _ -> Core.Random_gen.generate ~min_ops:3 ~max_ops:8 ctx)
-    in
-    let outcomes =
-      Par.Pool.map_array pool
-        (fun (i, q) ->
-          Relalg.Ident.set_fresh ((i + 1) * 100_000);
-          Core.Framework.optimize fw q)
-        (Array.mapi (fun i q -> (i, q)) qs)
-    in
+    let dc_opt = setup_cache c.cache_dir cat in
+    (* A parallel run additionally populates the pool-utilization lines
+       below. *)
+    let outcomes = stochastic_workload ~pool ~seed:c.seed ~queries fw Fun.id in
     let exhausted = ref 0 in
     let plans = ref [] in
     Array.iter
@@ -1060,16 +1070,15 @@ let stats_cmd =
     List.iter (fun p -> ignore (Executor.Cache.run ~site:"stats" cat p)) (List.rev !plans);
     if json then print_endline (Obs.Json.to_string (Obs.Report.metrics_json ()))
     else begin
-      let counter_of = function Some (Obs.Metrics.Counter c) -> c | _ -> 0 in
       let hist_of rule = Obs.Metrics.histogram ~label:rule "optimizer.rule.match_ns" in
       let rows =
         List.map
           (fun (rule, values) ->
             match values with
             | [ a; r; f ] ->
-              let attempts = counter_of a
-              and rewrites = counter_of r
-              and fired = counter_of f in
+              let attempts = counter_cell a
+              and rewrites = counter_cell r
+              and fired = counter_cell f in
               let h = hist_of rule in
               let snap = Obs.Metrics.hist_snapshot h in
               let rate =
@@ -1096,7 +1105,7 @@ let stats_cmd =
       in
       let rows = List.sort (fun x y -> compare (key y) (key x)) rows in
       Printf.printf "%d stochastic TPC-H queries optimized (scale %g, budget %d)\n\n"
-        queries scale budget;
+        queries c.scale c.budget;
       Printf.printf "%-34s %9s %9s %9s %6s %9s %9s %9s\n" "rule" "attempts"
         "rewrites" "fired" "hit%" "mean_us" "p95_us" "total_ms";
       print_endline (String.make 100 '-');
@@ -1106,21 +1115,13 @@ let stats_cmd =
             rate mean p95 total)
         rows;
       print_endline (String.make 100 '-');
-      let cval name =
-        match
-          List.find_map
-            (fun (n, l, v) -> if n = name && l = None then Some v else None)
-            (Obs.Metrics.snapshot ())
-        with
-        | Some (Obs.Metrics.Counter c) -> c
-        | _ -> 0
-      in
-      let hits = cval "optimizer.memo.hits" and misses = cval "optimizer.memo.misses" in
+      let hits = global_counter "optimizer.memo.hits" in
+      let misses = global_counter "optimizer.memo.misses" in
       let rate h m =
         if h + m = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int (h + m)
       in
-      let rw_hits = cval "optimizer.rewrite_memo.hits" in
-      let rw_misses = cval "optimizer.rewrite_memo.misses" in
+      let rw_hits = global_counter "optimizer.rewrite_memo.hits" in
+      let rw_misses = global_counter "optimizer.rewrite_memo.misses" in
       let rw_entries =
         match Obs.Metrics.find "optimizer.rewrite_memo.entries" with
         | Some (Obs.Metrics.Gauge g) -> int_of_float g
@@ -1129,7 +1130,7 @@ let stats_cmd =
       Printf.printf
         "trees explored %d | plan memo hit rate %.1f%% (%d/%d) | budget exhausted \
          on %d/%d queries | optimizer invocations %d\n"
-        (cval "optimizer.explore.trees")
+        (global_counter "optimizer.explore.trees")
         (rate hits misses) hits (hits + misses) !exhausted queries
         (Core.Framework.invocations fw);
       Printf.printf
@@ -1139,9 +1140,9 @@ let stats_cmd =
         (Relalg.Hashcons.misses ())
         (Relalg.Hashcons.hits ())
         rw_entries (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses)
-        (cval "optimizer.explore.reused");
-      let ex_hits = cval "executor.result_cache.hits" in
-      let ex_misses = cval "executor.result_cache.misses" in
+        (global_counter "optimizer.explore.reused");
+      let ex_hits = global_counter "executor.result_cache.hits" in
+      let ex_misses = global_counter "executor.result_cache.misses" in
       (* Mean throughput over every (non-cached) execution, not the
          last run's gauge — a final empty result would read as 0. *)
       let exec_ns =
@@ -1150,7 +1151,7 @@ let stats_cmd =
       in
       let rows_per_sec =
         if exec_ns <= 0.0 then 0.0
-        else float_of_int (cval "executor.rows") *. 1e9 /. exec_ns
+        else float_of_int (global_counter "executor.rows") *. 1e9 /. exec_ns
       in
       Printf.printf
         "executor: mean plan compile %.2f us | %.0f result rows/s | result \
@@ -1201,9 +1202,7 @@ let stats_cmd =
        ~doc:
          "Optimize a stochastic TPC-H workload with metrics on and print a sorted \
           per-rule attempt/success/latency table")
-    Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ queries_arg $ sort_arg $ jobs_arg
-      $ cache_dir_arg $ trace_arg $ json_arg)
+    Term.(const run $ campaign_term $ queries_arg $ sort_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr profile                                                         *)
@@ -1235,32 +1234,32 @@ let profile_cmd =
     with_telemetry trace @@ fun () ->
     Obs.Metrics.set_enabled true;
     Obs.Profile.enable ();
+    (* Opened before the workload runs, so a bad path fails fast. *)
+    let folded_oc =
+      Option.map
+        (fun path ->
+          try (path, open_out path)
+          with Sys_error e ->
+            Printf.eprintf "cannot open folded stacks file: %s\n" e;
+            exit 1)
+        folded
+    in
     let pool = pool_of jobs in
     let fw = make_fw scale budget in
     let cat = Core.Framework.catalog fw in
-    let ctx = { Core.Arggen.g = Prng.create seed; cat } in
-    let qs =
-      Array.init queries (fun _ -> Core.Random_gen.generate ~min_ops:3 ~max_ops:8 ctx)
-    in
     let outcomes =
-      Par.Pool.map_array pool
-        (fun (i, q) ->
-          Relalg.Ident.set_fresh ((i + 1) * 100_000);
-          match Core.Framework.optimize fw q with
-          | Ok r ->
-            Result.is_ok (Executor.Cache.run ~site:"profile" cat r.Optimizer.Engine.plan)
-          | Error _ -> false)
-        (Array.mapi (fun i q -> (i, q)) qs)
+      stochastic_workload ~pool ~seed ~queries fw (function
+        | Ok r -> Result.is_ok (Executor.Cache.run ~site:"profile" cat r.plan)
+        | Error _ -> false)
     in
     let ok = Array.fold_left (fun n b -> if b then n + 1 else n) 0 outcomes in
-    (match folded with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Obs.Profile.write_folded oc);
-      if not json then Printf.printf "folded stacks written to %s\n" path);
+    Option.iter
+      (fun (path, oc) ->
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> Obs.Profile.write_folded oc);
+        if not json then Printf.printf "folded stacks written to %s\n" path)
+      folded_oc;
     if json then
       print_endline
         (Obs.Json.to_string
@@ -1306,34 +1305,29 @@ let profile_cmd =
 
 let report_cmd =
   let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"RULE"
-          ~doc:
-            "Inject the buggy variant of RULE (one of the Faults registry) so the \
-             validation and triage sections are exercised.")
+    inject_arg
+      "Inject the buggy variant of RULE (one of the Faults registry) so the \
+       validation and triage sections are exercised."
   in
-  let run scale budget seed n k inject jobs cache_dir trace json =
-    with_telemetry trace @@ fun () ->
+  let run c n k inject json =
+    with_telemetry c.trace @@ fun () ->
     Obs.Metrics.set_enabled true;
     Obs.Profile.enable ();
     let t0 = Obs.Clock.now_ns () in
-    let pool = pool_of jobs in
-    let rules_override = Option.map Core.Faults.inject inject in
-    let fw = make_fw ?rules:rules_override scale budget in
-    let disk = setup_cache cache_dir (Core.Framework.catalog fw) in
-    let g = Prng.create seed in
-    let rules = List.filteri (fun i _ -> i < n) Optimizer.Rules.names in
-    let targets = List.map (fun r -> Core.Suite.Single r) rules in
-    if not json then
-      Printf.printf "campaign: %d targets x k=%d, scale %g, budget %d, jobs %d%s\n%!"
-        (List.length targets) k scale budget (Par.Pool.jobs pool)
-        (match inject with None -> "" | Some r -> ", fault " ^ r);
-    let suite = Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k in
+    let targets = List.map (fun r -> Core.Suite.Single r) (first_rules n) in
+    let { pool; fw; suite; _ }, (baseline, sol) =
+      run_campaign c ?rules:(Option.map Core.Faults.inject inject) ~targets ~k
+        ~announce:(fun pool ->
+          if not json then
+            Printf.printf "campaign: %d targets x k=%d, scale %g, budget %d, jobs %d%s\n%!"
+              (List.length targets) k c.scale c.budget (Par.Pool.jobs pool)
+              (match inject with None -> "" | Some r -> ", fault " ^ r))
+        (fun { pool; fw; suite; ec; _ } ->
+          (* A let, not a tuple, so BASELINE runs first. *)
+          let baseline = Core.Compress.baseline ~pool ~ec fw suite in
+          (baseline, Core.Compress.topk ~pool ~ec fw suite))
+    in
     let shortfalls = Core.Suite.shortfall suite in
-    let baseline : Core.Compress.solution = Core.Compress.baseline ~pool ?disk fw suite in
-    let sol : Core.Compress.solution = Core.Compress.topk ~pool ?disk fw suite in
     let correctness = Core.Correctness.run ~pool fw suite sol in
     let triaged = Triage.Pipeline.triage ~pool fw correctness in
     let wall_s = Obs.Clock.ns_between t0 (Obs.Clock.now_ns ()) /. 1e9 in
@@ -1422,9 +1416,7 @@ let report_cmd =
          "One-shot campaign summary: generate, compress, validate and triage, then \
           merge profile, pool utilization, cache attribution, coverage, compression \
           quality and triage counts into one text or JSON report")
-    Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ inject
-      $ jobs_arg $ cache_dir_arg $ trace_arg $ json_arg)
+    Term.(const run $ campaign_term $ n_rules_arg $ k_arg $ inject $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr bench-diff                                                      *)

@@ -6,15 +6,13 @@ type edge_costs = {
   shared : Framework.shared option option array;
       (* per query index: None = not explored yet; Some None = shared
          exploration failed, use the per-call path for this query *)
-  mutable calls : int;
   computed_c : Obs.Metrics.counter;
   memo_hit_c : Obs.Metrics.counter;
   (* Warm-start tier: edges loaded from a prior run's spilled matrix.
-     Serving an edge from here still counts into [calls] — the paper's
-     abstract unit of optimizer work, and the [invocations] field every
-     solution reports — so cold and warm runs produce byte-identical
-     solutions; only the *concrete* work (explorations, costing passes,
-     wall time) collapses. *)
+     Serving an edge from here still counts as one edge computation — the
+     paper's abstract unit of optimizer work — so cold and warm runs
+     produce byte-identical solutions; only the *concrete* work
+     (explorations, costing passes, wall time) collapses. *)
   warm : (int * int, float) Hashtbl.t;
   disk : (Storage.Diskcache.t * string) option;
   disk_served_c : Obs.Metrics.counter;
@@ -98,7 +96,6 @@ let edge_costs ?disk ?(warm_edges = []) fw (suite : Suite.t) =
     targets = Array.of_list suite.targets;
     memo = Hashtbl.create 256;
     shared = Array.make (Array.length suite.entries) None;
-    calls = 0;
     computed_c = Obs.Metrics.counter "compress.edge_cost.computed";
     memo_hit_c = Obs.Metrics.counter "compress.edge_cost.memo_hits";
     warm;
@@ -108,20 +105,21 @@ let edge_costs ?disk ?(warm_edges = []) fw (suite : Suite.t) =
     computed_n = 0;
     warm_n = 0 }
 
-(* Spill every known edge (computed this run or inherited warm) back to
-   disk. Last-writer-wins under the same key is benign: both writers
-   computed the same costs. *)
+(* Every cell this service knows: computed this run or inherited warm. *)
+let known ec =
+  let union = Hashtbl.copy ec.memo in
+  Hashtbl.iter
+    (fun p c -> if not (Hashtbl.mem union p) then Hashtbl.replace union p c)
+    ec.warm;
+  Hashtbl.to_seq union
+
+(* Last-writer-wins under the same key is benign: both writers computed
+   the same costs. *)
 let save_matrix ec =
   match ec.disk with
   | None -> ()
   | Some (dc, key) ->
-    let union = Hashtbl.copy ec.memo in
-    Hashtbl.iter
-      (fun p c -> if not (Hashtbl.mem union p) then Hashtbl.replace union p c)
-      ec.warm;
-    ignore
-      (Storage.Diskcache.store dc ~ns:matrix_ns ~key
-         (Array.of_seq (Hashtbl.to_seq union)))
+    ignore (Storage.Diskcache.store dc ~ns:matrix_ns ~key (Array.of_seq (known ec)))
 
 let record_deps ec query_idx matched =
   match Hashtbl.find_opt ec.deps query_idx with
@@ -133,7 +131,6 @@ let record_deps ec query_idx matched =
 (* Warm edge: served straight into the memo — no exploration — with the
    same logical-work accounting a computed edge gets. *)
 let serve_warm ec p c =
-  ec.calls <- ec.calls + 1;
   Obs.Metrics.incr ec.disk_served_c;
   ec.warm_n <- ec.warm_n + 1;
   Hashtbl.replace ec.memo p c
@@ -170,19 +167,12 @@ let compute_column ec qi tis =
   in
   (qi, sh, edges, deps)
 
-(* [calls] counts computed edges — the paper's abstract unit of optimizer
-   work (Figure 14) — regardless of how an edge is served: a filtered
-   re-costing pass over the query's one shared exploration, a full
-   [Cost(q, negated R)] optimization, or a warm edge loaded from a prior
-   run's spilled matrix. The concrete invocation count is
-   [Framework.invocations]. *)
 let store_column ec (qi, sh, edges, deps) =
   if ec.shared.(qi) = None then ec.shared.(qi) <- Some sh;
   record_deps ec qi deps;
   List.iter
     (fun (ti, c) ->
       if not (Hashtbl.mem ec.memo (ti, qi)) then begin
-        ec.calls <- ec.calls + 1;
         Obs.Metrics.incr ec.computed_c;
         ec.computed_n <- ec.computed_n + 1;
         Hashtbl.replace ec.memo (ti, qi) c
@@ -201,18 +191,17 @@ let edge_cost ec ~target_idx ~query_idx =
     | None -> store_column ec (compute_column ec query_idx [ target_idx ]));
     Hashtbl.find ec.memo p
 
-let invocations_used ec = ec.calls
+(* The paper's abstract unit of optimizer work (Figure 14) is one edge,
+   however it is served: a filtered re-costing pass over the query's one
+   shared exploration, a full [Cost(q, negated R)] optimization, or a
+   warm edge loaded from a prior run. The concrete invocation count is
+   [Framework.invocations]. *)
+let invocations_used ec = ec.computed_n + ec.warm_n
 let computed_edges ec = ec.computed_n
 let warm_served_edges ec = ec.warm_n
 
-(* Every cell this service knows — computed this run or inherited warm —
-   sorted for determinism; the incremental manifest persists this. *)
-let snapshot ec =
-  let union = Hashtbl.copy ec.memo in
-  Hashtbl.iter
-    (fun p c -> if not (Hashtbl.mem union p) then Hashtbl.replace union p c)
-    ec.warm;
-  List.sort compare (List.of_seq (Hashtbl.to_seq union))
+(* Sorted for determinism; the incremental manifest persists this. *)
+let snapshot ec = List.sort compare (List.of_seq (known ec))
 
 let column_deps ec =
   List.sort compare (List.of_seq (Hashtbl.to_seq ec.deps))
@@ -221,10 +210,11 @@ let column_deps ec =
    index — one task per query column — so each task owns one query's
    shared exploration and every edge it computes; tasks share nothing
    but the (read-only) suite and the framework, whose counters are
-   atomic. Workers return pure results; the merge into [memo]/[shared]/
-   [calls] happens on the calling domain in task order, so the memo
-   contents and the computed-edge count are identical to a sequential
-   fill of the same pairs — [Par.Pool.sequential] is the reference. *)
+   atomic. Workers return pure results; the merge into [memo]/[shared]
+   and the edge counts happens on the calling domain in task order, so
+   the memo contents and the computed-edge count are identical to a
+   sequential fill of the same pairs — [Par.Pool.sequential] is the
+   reference. *)
 let prefetch ?(pool = Par.Pool.sequential) ec pairs =
   let seen = Hashtbl.create 64 in
   let cols : (int, int list ref) Hashtbl.t = Hashtbl.create 32 in
@@ -295,7 +285,7 @@ let algo_span name (suite : Suite.t) f =
       sol)
 
 (* Shared-execution objective: distinct node costs once + all edge costs. *)
-let solution_cost (suite : Suite.t) sol =
+let assignment_cost (suite : Suite.t) assignment =
   let used = Hashtbl.create 16 in
   let node_total = ref 0.0 in
   let edge_total = ref 0.0 in
@@ -309,24 +299,45 @@ let solution_cost (suite : Suite.t) sol =
             node_total := !node_total +. node_cost suite q
           end)
         picks)
-    sol.assignment;
+    assignment;
   !node_total +. !edge_total
+
+let solution_cost suite sol = assignment_cost suite sol.assignment
+
+(* One algorithm's requests against a service that may be shared with
+   other algorithms or pre-warmed. Every distinct edge the algorithm asks
+   for counts once into its [invocations] — the count a fresh service
+   would report — so the solution does not depend on what the service
+   had already computed. *)
+type requests = { ec : edge_costs; requested : (int * int, unit) Hashtbl.t }
+
+let requests ?ec fw suite =
+  { ec = (match ec with Some ec -> ec | None -> edge_costs fw suite);
+    requested = Hashtbl.create 64 }
+
+let cost r ti qi =
+  Hashtbl.replace r.requested (ti, qi) ();
+  edge_cost r.ec ~target_idx:ti ~query_idx:qi
+
+let solve r (suite : Suite.t) assignment ~total_cost =
+  save_matrix r.ec;
+  { assignment;
+    total_cost;
+    invocations = Hashtbl.length r.requested;
+    under_covered = under_coverage suite assignment }
 
 (* ------------------------------------------------------------------ *)
 (* BASELINE (§2.3): every target executes its own generated queries,    *)
 (* without sharing Plan(q) runs across targets.                         *)
 (* ------------------------------------------------------------------ *)
 
-let service ?disk ?ec fw suite =
-  match ec with Some ec -> ec | None -> edge_costs ?disk fw suite
-
-let baseline ?pool ?disk ?ec fw (suite : Suite.t) =
+let baseline ?pool ?ec fw (suite : Suite.t) =
   algo_span "baseline" suite @@ fun () ->
-  let ec = service ?disk ?ec fw suite in
+  let r = requests ?ec fw suite in
   let tindex =
     List.mapi (fun i (t, _) -> (t, i)) suite.per_target
   in
-  prefetch ?pool ec
+  prefetch ?pool r.ec
     (List.concat_map
        (fun (target, indices) ->
          let ti = List.assoc target tindex in
@@ -336,8 +347,7 @@ let baseline ?pool ?disk ?ec fw (suite : Suite.t) =
     List.map
       (fun (target, indices) ->
         let ti = List.assoc target tindex in
-        ( target,
-          List.map (fun q -> (q, edge_cost ec ~target_idx:ti ~query_idx:q)) indices ))
+        (target, List.map (fun q -> (q, cost r ti q)) indices))
       suite.per_target
   in
   (* Unshared semantics: node costs counted per (target, query) pick. *)
@@ -349,17 +359,13 @@ let baseline ?pool ?disk ?ec fw (suite : Suite.t) =
           acc picks)
       0.0 assignment
   in
-  save_matrix ec;
-  { assignment;
-    total_cost = total;
-    invocations = invocations_used ec;
-    under_covered = under_coverage suite assignment }
+  solve r suite assignment ~total_cost:total
 
 (* ------------------------------------------------------------------ *)
 (* Greedy Constrained Set-Multicover (Figure 5)                         *)
 (* ------------------------------------------------------------------ *)
 
-let smc ?pool ?disk ?ec fw (suite : Suite.t) =
+let smc ?pool ?ec fw (suite : Suite.t) =
   algo_span "smc" suite @@ fun () ->
   let iterations_c = Obs.Metrics.counter "compress.smc.iterations" in
   let targets = Array.of_list suite.targets in
@@ -410,8 +416,8 @@ let smc ?pool ?disk ?ec fw (suite : Suite.t) =
   done;
   (* SMC never looks at edge costs while choosing; they are computed once
      afterwards to evaluate the solution, as when executing it. *)
-  let ec = service ?disk ?ec fw suite in
-  prefetch ?pool ec
+  let r = requests ?ec fw suite in
+  prefetch ?pool r.ec
     (List.concat
        (Array.to_list
           (Array.mapi
@@ -421,20 +427,10 @@ let smc ?pool ?disk ?ec fw (suite : Suite.t) =
     Array.to_list
       (Array.mapi
          (fun ti picks ->
-           ( targets.(ti),
-             List.rev_map
-               (fun q -> (q, edge_cost ec ~target_idx:ti ~query_idx:q))
-               picks ))
+           (targets.(ti), List.rev_map (fun q -> (q, cost r ti q)) picks))
          assignment)
   in
-  save_matrix ec;
-  let sol =
-    { assignment;
-      total_cost = 0.0;
-      invocations = invocations_used ec;
-      under_covered = under_coverage suite assignment }
-  in
-  { sol with total_cost = solution_cost suite sol }
+  solve r suite assignment ~total_cost:(assignment_cost suite assignment)
 
 (* ------------------------------------------------------------------ *)
 (* TopKIndependent (Figure 6), optionally with monotonicity (§5.3.1)    *)
@@ -465,18 +461,17 @@ module Kqueue = struct
   let contents q = List.rev_map (fun (c, i) -> (i, c)) q.items
 end
 
-let topk ?(exploit_monotonicity = false) ?pool ?disk ?ec fw
-    (suite : Suite.t) =
+let topk ?(exploit_monotonicity = false) ?pool ?ec fw (suite : Suite.t) =
   algo_span (if exploit_monotonicity then "topk_mono" else "topk") suite @@ fun () ->
   let pruned_c = Obs.Metrics.counter "compress.topk.pruned_edges" in
-  let ec = service ?disk ?ec fw suite in
+  let r = requests ?ec fw suite in
   let targets = Array.of_list suite.targets in
   (* The naive variant computes every (target, covering query) edge, so
      the whole matrix can be prefetched in parallel. The monotonicity
      variant stays sequential: which edges it computes depends on the
      costs of earlier ones (that adaptivity is the point of §5.3.1). *)
   if not exploit_monotonicity then
-    prefetch ?pool ec
+    prefetch ?pool r.ec
       (List.concat
          (Array.to_list
             (Array.mapi
@@ -511,24 +506,15 @@ let topk ?(exploit_monotonicity = false) ?pool ?disk ?ec fw
                      Obs.Metrics.add pruned_c (1 + List.length rest)
                  end
                  else begin
-                   Kqueue.push queue (edge_cost ec ~target_idx:ti ~query_idx:q) q;
+                   Kqueue.push queue (cost r ti q) q;
                    scan rest
                  end
              in
              scan sorted
            end
            else
-             List.iter
-               (fun q -> Kqueue.push queue (edge_cost ec ~target_idx:ti ~query_idx:q) q)
-               w;
+             List.iter (fun q -> Kqueue.push queue (cost r ti q) q) w;
            (target, Kqueue.contents queue))
          targets)
   in
-  save_matrix ec;
-  let sol =
-    { assignment;
-      total_cost = 0.0;
-      invocations = invocations_used ec;
-      under_covered = under_coverage suite assignment }
-  in
-  { sol with total_cost = solution_cost suite sol }
+  solve r suite assignment ~total_cost:(assignment_cost suite assignment)

@@ -14,8 +14,8 @@
       edge-cost computations are pruned using
       [Cost(q) <= Cost(q, ¬R)] (§5.3.1, Figure 14).
 
-    Every edge-cost computation is one optimizer invocation, counted by
-    the service so Figure 14 can be reproduced. *)
+    Every edge-cost computation is one optimizer invocation, counted per
+    algorithm so Figure 14 can be reproduced. *)
 
 type edge_costs
 (** Memoized [Cost(q, ¬R)] service over a suite. The service explores
@@ -41,7 +41,7 @@ val edge_costs :
     an unchanged name, invalidates the entry. [?warm_edges] injects
     additional warm cells (the incremental layer's manifest-surviving
     slice, already re-indexed to this suite). A warm-served edge still
-    counts into {!invocations_used} (so warm and cold runs produce
+    counts as one edge computation (so warm and cold runs produce
     byte-identical solutions) but skips the exploration/costing work;
     the extra counters [compress.matrix.disk_edges_loaded] and
     [compress.matrix.disk_served] record the savings. *)
@@ -94,7 +94,9 @@ type solution = {
       (** per target: the chosen (query index, edge cost) pairs *)
   total_cost : float;
   invocations : int;
-      (** optimizer invocations consumed building the solution *)
+      (** optimizer invocations consumed building the solution: the
+          distinct edges this algorithm requested, however they were
+          served — the same on a fresh, shared or pre-warmed service *)
   under_covered : (Suite.target * int) list;
       (** targets assigned fewer than [k] queries, with the deficit
           [k - assigned] — the suite has no [k] covering queries for
@@ -104,18 +106,16 @@ type solution = {
 
 (** The optional [pool] parallelizes the edge-cost matrix fill via
     {!prefetch}; solutions are identical for any pool size. The optional
-    [disk] warm-starts the edge-cost service from a spilled matrix and
-    spills the filled matrix back on completion (see {!edge_costs});
-    solutions are identical warm or cold. The optional [ec] supplies a
-    pre-built service instead (overriding [disk]) —
-    the incremental layer shares one manifest-warmed service across
-    algorithms and snapshots it afterwards; note a shared service's
-    [calls] accumulate, so each solution's [invocations] then reports
-    the cumulative count at the time that algorithm finished. *)
+    [ec] supplies the edge-cost service — one built with [?disk] and
+    [?warm_edges] (see {!edge_costs}) warm-starts the matrix, and every
+    algorithm spills the service's matrix back to its disk tier on
+    completion. Without [ec] each call builds a fresh, disk-free service.
+    A service may be shared by several algorithms: each solution,
+    [invocations] included, is identical to the one a fresh service
+    gives. *)
 
 val baseline :
   ?pool:Par.Pool.t ->
-  ?disk:Storage.Diskcache.t ->
   ?ec:edge_costs ->
   Framework.t ->
   Suite.t ->
@@ -123,7 +123,6 @@ val baseline :
 
 val smc :
   ?pool:Par.Pool.t ->
-  ?disk:Storage.Diskcache.t ->
   ?ec:edge_costs ->
   Framework.t ->
   Suite.t ->
@@ -132,7 +131,6 @@ val smc :
 val topk :
   ?exploit_monotonicity:bool ->
   ?pool:Par.Pool.t ->
-  ?disk:Storage.Diskcache.t ->
   ?ec:edge_costs ->
   Framework.t ->
   Suite.t ->

@@ -287,7 +287,7 @@ let promote ?(pool = Par.Pool.sequential) ?disk (config : config) cat by_name ra
     let g = Storage.Prng.create (config.params.seed + 29) in
     let targets = List.map (fun n -> Suite.Single n) attempted in
     let suite = Suite.generate ~max_trials:12 ~pool fw g ~targets ~k:config.suite_k in
-    let sol = Core.Compress.smc ~pool ?disk fw suite in
+    let sol = Core.Compress.smc ~pool ~ec:(Core.Compress.edge_costs ?disk fw suite) fw suite in
     let creport = Core.Correctness.run ~pool fw suite sol in
     let bug_counts = Hashtbl.create 4 in
     List.iter

@@ -88,7 +88,11 @@ let topk_mono_sol = C.topk ~exploit_monotonicity:true fw suite6
 
 (* Warm-start determinism: a run that loads every edge from a spilled
    matrix must produce the same solution, the same logical invocation
-   count — and do (almost) no optimizer work. *)
+   count — and do (almost) no optimizer work. Sharing one service across
+   all four algorithms, cold or warm, must not change any solution
+   either: each algorithm's [invocations] counts only the edges it
+   requested. The order (TOPK+mono first, BASELINE last) is the one in
+   which a cumulative count would inflate every later solution. *)
 let test_warm_matrix_identical () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -96,11 +100,11 @@ let test_warm_matrix_identical () =
   in
   let dc = Storage.Diskcache.create ~dir () in
   let i0 = F.invocations fw in
-  let cold = C.topk ~disk:dc fw suite6 in
+  let cold = C.topk ~ec:(C.edge_costs ~disk:dc fw suite6) fw suite6 in
   let i1 = F.invocations fw in
   check bool_t "cold run spills the matrix" true
     (Storage.Diskcache.entries dc ~ns:"matrix" > 0);
-  let warm = C.topk ~disk:dc fw suite6 in
+  let warm = C.topk ~ec:(C.edge_costs ~disk:dc fw suite6) fw suite6 in
   let i2 = F.invocations fw in
   check bool_t "identical assignment" true (cold.assignment = warm.assignment);
   check bool_t "identical cost" true (cold.total_cost = warm.total_cost);
@@ -109,7 +113,22 @@ let test_warm_matrix_identical () =
     (topk_sol.assignment = warm.assignment
     && topk_sol.total_cost = warm.total_cost);
   check bool_t "cold run did optimizer work" true (i1 - i0 > 0);
-  check int_t "warm run did none" 0 (i2 - i1)
+  check int_t "warm run did none" 0 (i2 - i1);
+  List.iter
+    (fun (tier, ec) ->
+      let mono = C.topk ~exploit_monotonicity:true ~ec fw suite6 in
+      let topk = C.topk ~ec fw suite6 in
+      let smc = C.smc ~ec fw suite6 in
+      let baseline = C.baseline ~ec fw suite6 in
+      List.iter
+        (fun (name, (shared : C.solution), (fresh : C.solution)) ->
+          let label what = Printf.sprintf "%s service: %s %s" tier name what in
+          check bool_t (label "assignment") true (shared.assignment = fresh.assignment);
+          check bool_t (label "total cost") true (shared.total_cost = fresh.total_cost);
+          check int_t (label "invocations") fresh.invocations shared.invocations)
+        [ ("TOPK+mono", mono, topk_mono_sol); ("TOPK", topk, topk_sol);
+          ("SMC", smc, smc_sol); ("BASELINE", baseline, baseline_sol) ])
+    [ ("shared", C.edge_costs fw suite6); ("warm shared", C.edge_costs ~disk:dc fw suite6) ]
 
 (* Regression: the spilled-matrix key used to hash only rule NAMES, so
    editing a rule's body under an unchanged name kept the old key and a
