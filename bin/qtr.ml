@@ -134,9 +134,10 @@ let simulate_edit_arg =
     & opt (some string) None
     & info [ "simulate-edit" ] ~docv:"RULE"
         ~doc:
-          "Rebuild RULE under a bumped version tag (same name, pattern and behavior, \
-           new content fingerprint) before running — the benchmark/CI stand-in for a \
-           behavior-preserving refactor of a rule's implementation.")
+          "Rebuild RULE under a fingerprint derived from its old one (same name, \
+           pattern and behavior, new content fingerprint) before running — the \
+           benchmark/CI stand-in for a behavior-preserving refactor of a rule's \
+           implementation.")
 
 (* Every generation/compression parameter that shapes the artifacts goes
    into the manifest key (the catalog is hashed in by [Incr.config_key]),
@@ -442,7 +443,7 @@ let rules_cmd =
       Printf.printf "%d exploration rules:\n" Optimizer.Rules.count;
       List.iter
         (fun (r : Optimizer.Rule.t) ->
-          Format.printf "  %-34s %a@." r.name Optimizer.Pattern.pp r.pattern)
+          Format.printf "  %-34s %a@." r.name Dsl.Pattern.pp r.pattern)
         Optimizer.Rules.all;
       Printf.printf "%d implementation rules:\n"
         (List.length Optimizer.Engine.implementation_rule_names);
@@ -773,7 +774,7 @@ let validate_cmd =
     with_telemetry c.trace @@ fun () ->
     let targets = fault_targets inject n in
     (* An injected fault changes the victim's fingerprint (its variant
-       carries a distinct version tag), so an incremental validate after
+       is a different DSL term), so an incremental validate after
        a clean one regenerates exactly the slices the fault can reach. *)
     let manifest =
       if incremental then
@@ -1122,11 +1123,11 @@ let stats_cmd =
       in
       let rw_hits = global_counter "optimizer.rewrite_memo.hits" in
       let rw_misses = global_counter "optimizer.rewrite_memo.misses" in
-      let rw_entries =
-        match Obs.Metrics.find "optimizer.rewrite_memo.entries" with
-        | Some (Obs.Metrics.Gauge g) -> int_of_float g
-        | _ -> 0
-      in
+      (* The hash-cons table and the rewrite memo are domain-local: past
+         --jobs 1 their sizes are the calling domain's alone, and depend
+         on how the pool scheduled the queries. The hit counts are
+         process-wide. *)
+      let own = if Par.Pool.jobs pool > 1 then " (calling domain)" else "" in
       Printf.printf
         "trees explored %d | plan memo hit rate %.1f%% (%d/%d) | budget exhausted \
          on %d/%d queries | optimizer invocations %d\n"
@@ -1134,12 +1135,15 @@ let stats_cmd =
         (rate hits misses) hits (hits + misses) !exhausted queries
         (Core.Framework.invocations fw);
       Printf.printf
-        "hashcons: %d live nodes (%d interned, %d reused) | rewrite memo %d \
+        "hashcons%s: %d live nodes (%d interned, %d reused) | rewrite memo%s %d \
          entries, hit rate %.1f%% (%d/%d) | %d explorations reused\n"
+        own
         (Relalg.Hashcons.live_nodes ())
         (Relalg.Hashcons.misses ())
         (Relalg.Hashcons.hits ())
-        rw_entries (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses)
+        own
+        (Optimizer.Engine.Reference.memo_entries ())
+        (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses)
         (global_counter "optimizer.explore.reused");
       let ex_hits = global_counter "executor.result_cache.hits" in
       let ex_misses = global_counter "executor.result_cache.misses" in
@@ -1180,12 +1184,11 @@ let stats_cmd =
         (match manifest with
         | Some _ -> " vs latest cache manifest:"
         | None -> " (no manifest in cache; drift unknown):");
-      Printf.printf "%-34s %-14s %-8s %s\n" "rule" "fingerprint" "source" "drift";
+      Printf.printf "%-34s %-14s %s\n" "rule" "fingerprint" "drift";
       List.iter
         (fun (ri : Manifest.rule_info) ->
-          Printf.printf "%-34s %-14s %-8s %s\n" ri.name
+          Printf.printf "%-34s %-14s %s\n" ri.name
             (String.sub ri.fingerprint 0 12)
-            ri.source
             (match List.assoc_opt ri.name changes with
             | Some c -> Manifest.change_to_string c
             | None -> if manifest = None then "-" else "no"))
@@ -1193,7 +1196,7 @@ let stats_cmd =
       List.iter
         (fun (name, c) ->
           if c = Manifest.Removed then
-            Printf.printf "%-34s %-14s %-8s removed\n" name "-" "-")
+            Printf.printf "%-34s %-14s removed\n" name "-")
         changes
     end
   in
@@ -1629,10 +1632,7 @@ let verify_rules_cmd =
   let run include_discovered max_valuations jobs trace json =
     with_telemetry trace @@ fun () ->
     let items =
-      List.map
-        (fun (r : Optimizer.Rule.t) ->
-          ("registered", r.name, false, Optimizer.Rules.rdsl_of r.name))
-        Optimizer.Rules.all
+      List.map (fun (name, r) -> ("registered", name, false, r)) Optimizer.Rules.dsl_rules
       @ (if not include_discovered then []
          else
            List.map
@@ -1651,40 +1651,36 @@ let verify_rules_cmd =
        timings). *)
     let verdicts =
       Par.Pool.map_array pool
-        (fun (_, _, _, dsl) ->
-          Option.map (Dsl.Rdsl.Verify.verify ~max_valuations) dsl)
+        (fun (_, _, _, r) -> Dsl.Rdsl.Verify.verify ~max_valuations r)
         (Array.of_list items)
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let rows = List.combine items (Array.to_list verdicts) in
     let status_of = function
-      | None -> "unverified"
-      | Some Dsl.Rdsl.Verify.Sound_bounded -> "sound"
-      | Some (Dsl.Rdsl.Verify.Refuted _) -> "refuted"
-      | Some (Dsl.Rdsl.Verify.Unknown _) -> "unknown"
+      | Dsl.Rdsl.Verify.Sound_bounded -> "sound"
+      | Dsl.Rdsl.Verify.Refuted _ -> "refuted"
+      | Dsl.Rdsl.Verify.Unknown _ -> "unknown"
     in
-    let failed ((_, _, expect_refuted, dsl), v) =
-      match (dsl, v) with
-      | None, _ -> false (* closure-only or outside the DSL fragment *)
-      | Some _, Some (Dsl.Rdsl.Verify.Refuted _) -> not expect_refuted
-      | Some _, _ -> expect_refuted
+    let failed ((_, _, expect_refuted, _), v) =
+      match v with
+      | Dsl.Rdsl.Verify.Refuted _ -> not expect_refuted
+      | _ -> expect_refuted
     in
     let failures = List.filter failed rows in
     let count s =
       List.length (List.filter (fun (_, v) -> String.equal (status_of v) s) rows)
     in
     if json then begin
-      let item_json ((group, name, expect_refuted, _), v) =
+      let item_json (((group, name, expect_refuted, _), v) as row) =
         Obs.Json.Obj
           ([ ("group", Obs.Json.String group);
              ("name", Obs.Json.String name);
              ("status", Obs.Json.String (status_of v));
              ("expect_refuted", Obs.Json.Bool expect_refuted);
-             ("failed", Obs.Json.Bool (failed ((group, name, expect_refuted, Some ()), v)))
-           ]
+             ("failed", Obs.Json.Bool (failed row)) ]
           @
-          (match v with
-          | Some (Dsl.Rdsl.Verify.Refuted c) ->
+          match v with
+          | Dsl.Rdsl.Verify.Refuted c ->
             [ ( "counterexample",
                 Obs.Json.Obj
                   [ ( "instances",
@@ -1696,8 +1692,8 @@ let verify_rules_cmd =
                         (List.map (fun s -> Obs.Json.String s) c.valuation) );
                     ("lhs_rows", Obs.Json.String c.lhs_rows);
                     ("rhs_rows", Obs.Json.String c.rhs_rows) ] ) ]
-          | Some (Dsl.Rdsl.Verify.Unknown m) -> [ ("reason", Obs.Json.String m) ]
-          | _ -> []))
+          | Dsl.Rdsl.Verify.Unknown m -> [ ("reason", Obs.Json.String m) ]
+          | Dsl.Rdsl.Verify.Sound_bounded -> [])
       in
       let doc =
         Obs.Json.Obj
@@ -1707,7 +1703,6 @@ let verify_rules_cmd =
                 [ ("sound", Obs.Json.Int (count "sound"));
                   ("refuted", Obs.Json.Int (count "refuted"));
                   ("unknown", Obs.Json.Int (count "unknown"));
-                  ("unverified", Obs.Json.Int (count "unverified"));
                   ("failures", Obs.Json.Int (List.length failures)) ] ) ]
       in
       print_endline (Obs.Json.to_string doc)
@@ -1718,25 +1713,23 @@ let verify_rules_cmd =
           Printf.printf "%-15s %-34s %s%s\n" group name (status_of v)
             (if failed row then "  <-- FAIL" else "");
           match v with
-          | Some (Dsl.Rdsl.Verify.Refuted _ as vd) when failed row ->
-            Printf.printf "%17s%s\n" "" (Dsl.Rdsl.Verify.verdict_to_string vd)
-          | Some (Dsl.Rdsl.Verify.Unknown m) -> Printf.printf "%17s(%s)\n" "" m
+          | Dsl.Rdsl.Verify.Refuted _ when failed row ->
+            Printf.printf "%17s%s\n" "" (Dsl.Rdsl.Verify.verdict_to_string v)
+          | Dsl.Rdsl.Verify.Unknown m -> Printf.printf "%17s(%s)\n" "" m
           | _ -> ())
         rows;
-      Printf.printf
-        "%d sound, %d refuted, %d unknown, %d unverified (%.2fs); %d failure(s)\n"
-        (count "sound") (count "refuted") (count "unknown") (count "unverified")
-        elapsed (List.length failures)
+      Printf.printf "%d sound, %d refuted, %d unknown (%.2fs); %d failure(s)\n"
+        (count "sound") (count "refuted") (count "unknown") elapsed
+        (List.length failures)
     end;
     if failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "verify-rules"
        ~doc:
-         "Check every DSL-backed registered rule against the bounded symbolic \
+         "Check every registered rule's DSL term against the bounded symbolic \
           oracle (small-scope set-theoretic semantics over distinguished rows and \
-          NULLs, no executor); closure-only rules are reported unverified. Fails \
-          if any registered rule is refuted")
+          NULLs, no executor). Fails if any registered rule is refuted")
     Term.(
       const run $ include_discovered_arg $ max_valuations_arg $ jobs_arg $ trace_arg
       $ json_arg)

@@ -34,8 +34,8 @@ let matrix_ns = "matrix"
    targets, and shape (k). Any drift — new seed, new scale, edited rule,
    regenerated suite — changes the key and the old entry is ignored.
    Rules contribute their *content fingerprint*, not their name: editing
-   a rule's body under an unchanged name (fault injection, a DSL term
-   edit, a closure version bump) must change the key, or a warm run would
+   a rule's definition under an unchanged name (fault injection, a DSL
+   term edit) must change the key, or a warm run would
    serve edge costs computed with the old body. *)
 let matrix_key fw (suite : Suite.t) =
   let combine h k = ((h * 65599) + k) land max_int in

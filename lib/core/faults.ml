@@ -1,120 +1,60 @@
-open Relalg
-module L = Logical
-module S = Scalar
-module R = Optimizer.Rule
-module Pat = Optimizer.Pattern
+module L = Relalg.Logical
+module R = Dsl.Rdsl
 
-(* Every buggy variant carries ~version:"fault": it shares its victim's
-   name and pattern, so only the version tag separates their content
-   fingerprints — injecting a fault must invalidate warm-start caches
-   keyed on rule content exactly like any other body edit. *)
+(* Each buggy variant is its victim's DSL term with one change, compiled
+   like any registered rule. It keeps the victim's name and pattern; its
+   content fingerprint is the digest of the changed term, so injecting a
+   fault invalidates warm-start caches keyed on rule content exactly like
+   any other rule edit. *)
 
-(* Pushes every pushable conjunct below BOTH sides of a left outer join —
-   pushing onto the NULL-padded right side is unsound (it drops padding
-   rows the filter would have kept or keeps rows it should not). *)
-let buggy_push_below_loj =
-  R.make ~version:"fault" "PushSelectBelowLeftOuterJoin"
-    (Pat.Op (L.KFilter, [ Pat.Op (L.KJoin L.LeftOuter, [ Pat.Any; Pat.Any ]) ]))
-    (fun cat t ->
-      match t with
-      | L.Filter { pred; child = L.Join ({ kind = L.LeftOuter; left; right; _ } as j) } ->
-        let lids = Props.output_idents cat left in
-        let rids = Props.output_idents cat right in
-        let pl, rest = R.split_by_scope pred lids in
-        let pr, rest = R.split_by_scope rest rids in
-        if S.equal pl S.true_ && S.equal pr S.true_ then []
-        else
-          let wrap pred child =
-            if S.equal pred S.true_ then child else L.Filter { pred; child }
-          in
-          [ wrap rest (L.Join { j with left = wrap pl left; right = wrap pr right }) ]
-      | _ -> [])
+let victim name =
+  match Optimizer.Rules.rdsl_of name with
+  | Some r -> r
+  | None -> invalid_arg ("Faults: no registered rule " ^ name)
 
-(* Rewrites Filter(LOJ) to Filter(Join) without checking that the filter
-   is null-rejecting on the padded side. *)
-let buggy_simplify_loj =
-  R.make ~version:"fault" "SimplifyLeftOuterJoin"
-    (Pat.Op (L.KFilter, [ Pat.Op (L.KJoin L.LeftOuter, [ Pat.Any; Pat.Any ]) ]))
-    (fun _cat t ->
-      match t with
-      | L.Filter { pred; child = L.Join ({ kind = L.LeftOuter; _ } as j) } ->
-        [ L.Filter { pred; child = L.Join { j with kind = L.Inner } } ]
-      | _ -> [])
+(* The padded side enabled: pushes the right-scoped conjuncts below the
+   NULL-padded side of a left outer join too, which drops padding rows
+   the filter would have kept or keeps rows it should not. *)
+let loj_right_push =
+  Optimizer.Rules_join.push_select L.LeftOuter "PushSelectBelowLeftOuterJoin"
+    ~left_ok:true ~right_ok:true
 
-(* Merges two stacked filters but forgets the inner predicate. *)
-let buggy_select_merge =
-  R.make ~version:"fault" "SelectMerge"
-    (Pat.Op (L.KFilter, [ Pat.Op (L.KFilter, [ Pat.Any ]) ]))
-    (fun _cat t ->
-      match t with
-      | L.Filter { pred = p1; child = L.Filter { pred = _p2; child } } ->
-        [ L.Filter { pred = p1; child } ]
-      | _ -> [])
+(* The null-rejection side dropped: turns Filter(LOJ) into Filter(Join)
+   whether or not the filter rejects the padded rows. *)
+let simplify_loj = { (victim "SimplifyLeftOuterJoin") with sides = [] }
 
-(* Pushes a group-by below a join without requiring the join to be on a
-   key of the other side: per-group fan-out corrupts the aggregates. *)
-let buggy_gbagg_push =
-  R.make ~version:"fault" "GbAggPushBelowJoin"
-    (Pat.Op (L.KGroupBy, [ Pat.Op (L.KJoin L.Inner, [ Pat.Any; Pat.Any ]) ]))
-    (fun cat t ->
-      match t with
-      | L.GroupBy
-          { keys; aggs; child = L.Join { kind = L.Inner; pred; left = x; right = y } } ->
-        let xids = Props.output_idents cat x in
-        let yids = Props.output_idents cat y in
-        let key_set = Ident.Set.of_list keys in
-        let kx = List.filter (fun k -> Ident.Set.mem k xids) keys in
-        let ky = List.filter (fun k -> Ident.Set.mem k yids) keys in
-        let aggs_read_x_only =
-          List.for_all
-            (fun (_, a) -> Ident.Set.subset (Aggregate.columns a) xids)
-            aggs
-        in
-        let pred_x_cols = Ident.Set.inter (S.columns pred) xids in
-        (* Missing: Props.has_key_within cat y ky *)
-        if
-          aggs_read_x_only
-          && Ident.Set.subset pred_x_cols key_set
-          && kx <> []
-          && List.length kx + List.length ky = List.length keys
-        then
-          match Props.schema cat t with
-          | Error _ -> []
-          | Ok out_cols ->
-            [ R.identity_project out_cols
-                (L.Join
-                   { kind = L.Inner;
-                     pred;
-                     left = L.GroupBy { keys = kx; aggs; child = x };
-                     right = y }) ]
-        else []
-      | _ -> [])
+(* The inner conjunct dropped: merges two stacked filters but keeps only
+   the outer predicate. *)
+let select_merge =
+  let v = victim "SelectMerge" in
+  { v with rhs = R.Filter (R.Pvar 0, R.Var 0) }
+
+(* The key side dropped: pushes a group-by below a join whose other side
+   may fan each group out, corrupting the aggregates. *)
+let gbagg_push =
+  let v = victim "GbAggPushBelowJoin" in
+  { v with sides = List.filter (fun s -> s <> R.Key_within_keys 1) v.sides }
 
 let faults =
-  [ ( "PushSelectBelowLeftOuterJoin",
-      buggy_push_below_loj,
+  [ ( loj_right_push,
       "pushes filter conjuncts below the NULL-padded side of a left outer join" );
-    ( "SimplifyLeftOuterJoin",
-      buggy_simplify_loj,
-      "turns LOJ into inner join without the null-rejection precondition" );
-    ("SelectMerge", buggy_select_merge, "drops the inner filter's predicate");
-    ( "GbAggPushBelowJoin",
-      buggy_gbagg_push,
-      "pushes group-by below a join without the key precondition" ) ]
+    (simplify_loj, "turns LOJ into inner join without the null-rejection precondition");
+    (select_merge, "drops the inner filter's predicate");
+    (gbagg_push, "pushes group-by below a join without the key precondition") ]
 
-let names = List.map (fun (n, _, _) -> n) faults
+let names = List.map (fun ((r : R.rule), _) -> r.name) faults
 
 let find name =
-  match List.find_opt (fun (n, _, _) -> String.equal n name) faults with
+  match List.find_opt (fun ((r : R.rule), _) -> String.equal r.name name) faults with
   | Some f -> f
   | None -> invalid_arg ("Faults: no buggy variant for rule " ^ name)
 
+let term name = fst (find name)
+
 let inject name =
-  let _, buggy, _ = find name in
+  let buggy = R.compile (term name) in
   List.map
-    (fun (r : R.t) -> if String.equal r.name name then buggy else r)
+    (fun (r : Optimizer.Rule.t) -> if String.equal r.name name then buggy else r)
     Optimizer.Rules.all
 
-let describe name =
-  let _, _, d = find name in
-  d
+let describe name = snd (find name)

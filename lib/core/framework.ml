@@ -81,7 +81,7 @@ let pattern_of t name =
     (fun (r : Optimizer.Rule.t) ->
       if String.equal r.name name then
         (* Round-trip through the XML export, as an external tool would. *)
-        match Optimizer.Pattern.of_xml (Optimizer.Pattern.to_xml r.pattern) with
+        match Dsl.Pattern.of_xml (Dsl.Pattern.to_xml r.pattern) with
         | Ok p -> Some p
         | Error _ -> None
       else None)

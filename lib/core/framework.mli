@@ -76,7 +76,7 @@ val invocations : t -> int
 
 val reset_invocations : t -> unit
 
-val pattern_of : t -> string -> Optimizer.Pattern.t option
+val pattern_of : t -> string -> Dsl.Pattern.t option
 (** The exported rule pattern for a rule name, obtained through the XML
     export/import round trip — i.e. what a test tool outside the server
     would receive (§3.1). *)

@@ -68,8 +68,7 @@ let rules_info fw =
     (fun (r : Optimizer.Rule.t) ->
       { M.name = r.name;
         fingerprint = r.fingerprint;
-        pattern_fp = r.pattern_fp;
-        source = Optimizer.Rules.source_of r.name })
+        pattern_fp = r.pattern_fp })
     (Framework.rules fw)
 
 let config_key fw ~desc =

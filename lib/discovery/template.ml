@@ -365,19 +365,19 @@ let enumerate ?pool alpha ~max_nodes =
 (* Bridge to optimizer rules                                           *)
 
 let rec to_pattern_node = function
-  | Rel _ -> Optimizer.Pattern.Any
-  | Filter (_, c) -> Optimizer.Pattern.Op (L.KFilter, [ to_pattern_node c ])
+  | Rel _ -> Dsl.Pattern.Any
+  | Filter (_, c) -> Dsl.Pattern.Op (L.KFilter, [ to_pattern_node c ])
   | Join (_, a, b) ->
-    Optimizer.Pattern.Op (L.KJoin L.Inner, [ to_pattern_node a; to_pattern_node b ])
-  | Distinct c -> Optimizer.Pattern.Op (L.KDistinct, [ to_pattern_node c ])
+    Dsl.Pattern.Op (L.KJoin L.Inner, [ to_pattern_node a; to_pattern_node b ])
+  | Distinct c -> Dsl.Pattern.Op (L.KDistinct, [ to_pattern_node c ])
   | UnionAll (a, b) ->
-    Optimizer.Pattern.Op (L.KUnionAll, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KUnionAll, [ to_pattern_node a; to_pattern_node b ])
   | Union (a, b) ->
-    Optimizer.Pattern.Op (L.KUnion, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KUnion, [ to_pattern_node a; to_pattern_node b ])
   | Intersect (a, b) ->
-    Optimizer.Pattern.Op (L.KIntersect, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KIntersect, [ to_pattern_node a; to_pattern_node b ])
   | Except (a, b) ->
-    Optimizer.Pattern.Op (L.KExcept, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KExcept, [ to_pattern_node a; to_pattern_node b ])
 
 let to_pattern c = to_pattern_node (standardize c).lhs
 
@@ -391,9 +391,7 @@ let align cat matched built =
 
 (* Bridge into the rewrite DSL, for the symbolic oracle. Join-predicate
    variables land in a predicate-variable namespace disjoint from the
-   filter predicates'. Candidates using Intersect/Except fall outside the
-   DSL fragment and map to [None]; [qtr verify-rules] reports them as
-   unverified. *)
+   filter predicates'. *)
 let join_pv v = 1000 + v
 
 let to_rdsl ?name c =
@@ -404,28 +402,17 @@ let to_rdsl ?name c =
     | Pand (i, j) -> R.Pand (R.Pvar i, R.Pvar j)
   in
   let rec go = function
-    | Rel i -> Some (R.Var i)
-    | Filter (p, ct) -> Option.map (fun t -> R.Filter (pexp p, t)) (go ct)
-    | Join (v, a, b) -> (
-      match (go a, go b) with
-      | Some a, Some b -> Some (R.Join (L.Inner, R.Pvar (join_pv v), a, b))
-      | _ -> None)
-    | Distinct ct -> Option.map (fun t -> R.Distinct t) (go ct)
-    | UnionAll (a, b) -> (
-      match (go a, go b) with
-      | Some a, Some b -> Some (R.UnionAll (a, b))
-      | _ -> None)
-    | Union (a, b) -> (
-      match (go a, go b) with
-      | Some a, Some b -> Some (R.Union (a, b))
-      | _ -> None)
-    | Intersect _ | Except _ -> None
+    | Rel i -> R.Var i
+    | Filter (p, ct) -> R.Filter (pexp p, go ct)
+    | Join (v, a, b) -> R.Join (L.Inner, R.Pvar (join_pv v), go a, go b)
+    | Distinct ct -> R.Distinct (go ct)
+    | UnionAll (a, b) -> R.UnionAll (go a, go b)
+    | Union (a, b) -> R.Union (go a, go b)
+    | Intersect (a, b) -> R.Intersect (go a, go b)
+    | Except (a, b) -> R.Except (go a, go b)
   in
-  match (go c.lhs, go c.rhs) with
-  | Some lhs, Some rhs ->
-    let name = match name with Some n -> n | None -> name_of c in
-    Some { R.name; lhs; rhs; sides = [] }
-  | _ -> None
+  let name = match name with Some n -> n | None -> name_of c in
+  { R.name; lhs = go c.lhs; rhs = go c.rhs; sides = [] }
 
 let to_rule ?name c =
   let c = standardize c in
@@ -488,4 +475,7 @@ let to_rule ?name c =
       | exception Not_found -> []
       | built -> align cat tree built
   in
-  Optimizer.Rule.make name pattern apply
+  let fingerprint =
+    Digest.to_hex (Digest.string ("template\x00" ^ name ^ "\x00" ^ display c))
+  in
+  Optimizer.Rule.make ~fingerprint name pattern apply

@@ -91,16 +91,14 @@ val seeded_unsound : (string * candidate) list
 val rediscovered_name : candidate -> string option
 val seeded_name : candidate -> string option
 
-val to_pattern : candidate -> Optimizer.Pattern.t
+val to_pattern : candidate -> Dsl.Pattern.t
 (** Pattern of the standardized lhs ([Any] at relation variables). *)
 
-val to_rdsl : ?name:string -> candidate -> Dsl.Rdsl.rule option
+val to_rdsl : ?name:string -> candidate -> Dsl.Rdsl.rule
 (** Bridge into the rewrite DSL for the symbolic small-scope oracle:
     filter/join predicate variables become DSL predicate metavariables
     (join variables in a disjoint namespace), relation variables become
-    relation metavariables, with no side-conditions. [None] when the
-    candidate uses Intersect/Except, which fall outside the DSL
-    fragment. *)
+    relation metavariables, with no side-conditions. *)
 
 val to_rule : ?name:string -> candidate -> Optimizer.Rule.t
 (** Bridge into a real optimizer rule: match the lhs template (binding
@@ -108,4 +106,5 @@ val to_rule : ?name:string -> candidate -> Optimizer.Rule.t
     output schema to the matched tree's (identity projection when only
     column order changed, positional rename when the sides export
     different columns of equal type). [apply] returns [] whenever the
-    match or the alignment fails. *)
+    match or the alignment fails. The rule's content fingerprint digests
+    its name and the standardized candidate's canonical rendering. *)

@@ -36,15 +36,8 @@ let record_matched names =
   | Some tbl -> List.iter (fun name -> Hashtbl.replace tbl name ()) names
   | None -> ()
 
-let digest_hex parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
-
-let make ?(version = "") ?fingerprint name pattern apply =
-  let pattern_fp = digest_hex [ "pattern"; Pattern.to_xml pattern ] in
-  let fingerprint =
-    match fingerprint with
-    | Some fp -> fp
-    | None -> digest_hex [ "closure"; name; pattern_fp; version ]
-  in
+let make ~fingerprint name pattern apply =
+  let pattern_fp = Digest.to_hex (Digest.string ("pattern\x00" ^ Pattern.to_xml pattern)) in
   let guarded cat tree =
     if Pattern.matches pattern tree then begin
       (match !(Domain.DLS.get collector_key) with

@@ -12,12 +12,12 @@ type t = {
   apply : Storage.Catalog.t -> Relalg.Logical.t -> Relalg.Logical.t list;
   fingerprint : string;
       (** Content digest identifying this rule's {e behaviour}, not just
-          its name: DSL-backed rules digest their full [Rdsl] term (via
-          {!make}'s [?fingerprint]); closure rules digest
-          (name, pattern, [?version]). Editing a rule body under the same
-          name must change the fingerprint — bump [?version] for closure
-          rules, whose bodies are opaque OCaml. Incremental maintenance
-          and the warm-start matrix key are built on this. *)
+          its name, as stated by the code constructing the rule ({!make}'s
+          [~fingerprint]): registered rules digest their full [Rdsl] term,
+          discovered rules their candidate's canonical form. Editing a
+          rule's definition under the same name changes the digest.
+          Incremental maintenance and the warm-start matrix key are built
+          on this. *)
   pattern_fp : string;
       (** Digest of the pattern alone. [fingerprint] differing while
           [pattern_fp] is unchanged classifies an edit as body-only — the
@@ -25,8 +25,7 @@ type t = {
 }
 
 val make :
-  ?version:string ->
-  ?fingerprint:string ->
+  fingerprint:string ->
   string ->
   Pattern.t ->
   (Storage.Catalog.t -> Relalg.Logical.t -> Relalg.Logical.t list) ->
@@ -39,11 +38,9 @@ val make :
     name) is bumped — the rule's declared pattern and its implementation
     disagree, and the engine would silently never fire it.
 
-    [?fingerprint] overrides the content fingerprint (DSL rules pass a
-    digest of their term); otherwise it is derived from
-    (name, pattern, [?version]) — [?version] (default [""]) is the
-    closure rule's explicit content tag: pass a new value whenever the
-    closure body's semantics change (fault injection passes ["fault"]). *)
+    [~fingerprint] is the rule's content digest; the caller states it
+    because only the caller knows what the rule's content is —
+    [Rdsl.compile] passes the digest of the DSL term. *)
 
 val collect_matched : (unit -> 'a) -> 'a * string list
 (** [collect_matched f] runs [f] with a domain-local collector installed

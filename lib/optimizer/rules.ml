@@ -1,10 +1,8 @@
-let all : Rule.t list =
-  Rules_join.rules @ Rules_select.rules @ Rules_agg.rules @ Rules_extra.rules
+(* The DSL source of every registered rule, in registry order. *)
+let dsl = Rules_join.dsl @ Rules_select.dsl @ Rules_agg.dsl @ Rules_extra.dsl
 
-(* The DSL source of each DSL-backed registered rule (the join and select
-   families; the agg and extra families remain closure rules). *)
-let dsl_rules : (string * Dsl.Rdsl.rule) list =
-  List.map (fun (r : Dsl.Rdsl.rule) -> (r.name, r)) (Rules_join.dsl @ Rules_select.dsl)
+let all : Rule.t list = List.map Dsl.Rdsl.compile dsl
+let dsl_rules = List.map (fun (r : Dsl.Rdsl.rule) -> (r.name, r)) dsl
 
 let rdsl_of name = List.assoc_opt name dsl_rules
 
@@ -29,14 +27,12 @@ let nth i =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Rules.nth: index %d out of range" i)
 
-(* Content identity of the registry: per-rule fingerprints (DSL rules
-   digest their term via [Rdsl.compile]; closure rules digest
-   name+pattern+version). The incremental-maintenance manifest and the
-   warm-start matrix key both hang off these. *)
+(* Content identity of the registry: per-rule fingerprints, each the
+   digest of the rule's DSL term (via [Rdsl.compile]). The
+   incremental-maintenance manifest and the warm-start matrix key both
+   hang off these. *)
 let fingerprints () =
   List.map (fun (r : Rule.t) -> (r.name, r.fingerprint)) all
-
-let source_of name = if List.mem_assoc name dsl_rules then "dsl" else "closure"
 
 (* A reproducible single-rule body edit: the named rule keeps its name,
    pattern and behavior, but its content fingerprint changes — a
@@ -55,10 +51,11 @@ let simulate_edit ?(rules = all) name =
       (fun (r : Rule.t) ->
         if String.equal r.name name then begin
           found := true;
-          (* [r.apply] is already pattern-guarded; the extra guard the
-             wrapper adds is idempotent (same match condition, same
-             collector entry). *)
-          Rule.make ~version:"simulated-edit" r.name r.pattern r.apply
+          (* The new fingerprint is derived from the old one, so it is as
+             reproducible as the edit. *)
+          { r with
+            fingerprint =
+              Digest.to_hex (Digest.string ("simulated-edit\x00" ^ r.fingerprint)) }
         end
         else r)
       rules
@@ -67,10 +64,10 @@ let simulate_edit ?(rules = all) name =
   edited
 
 let pattern_xml name =
-  Option.map (fun (r : Rule.t) -> Pattern.to_xml r.pattern) (find name)
+  Option.map (fun (r : Rule.t) -> Dsl.Pattern.to_xml r.pattern) (find name)
 
 let all_patterns_xml () =
   let entry (r : Rule.t) =
-    Printf.sprintf "<rule name=\"%s\">%s</rule>" r.name (Pattern.to_xml r.pattern)
+    Printf.sprintf "<rule name=\"%s\">%s</rule>" r.name (Dsl.Pattern.to_xml r.pattern)
   in
   "<rules>" ^ String.concat "" (List.map entry all) ^ "</rules>"

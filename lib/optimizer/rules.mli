@@ -23,19 +23,15 @@ val all_patterns_xml : unit -> string
 
 val fingerprints : unit -> (string * string) list
 (** (name, content fingerprint) for every registered rule, in registry
-    order. DSL-backed rules digest their full [Rdsl] term; closure rules
-    digest (name, pattern, version tag). Any edit to a rule's definition
-    yields a new fingerprint — the identity incremental maintenance and
-    the warm-start matrix key are built on. *)
-
-val source_of : string -> string
-(** ["dsl"] when the named registered rule is compiled from an [Rdsl]
-    term, ["closure"] otherwise. *)
+    order: the digest of the rule's full [Rdsl] term
+    ({!Dsl.Rdsl.fingerprint}). Any edit to a rule's definition yields a
+    new fingerprint — the identity incremental maintenance and the
+    warm-start matrix key are built on. *)
 
 val simulate_edit : ?rules:Rule.t list -> string -> Rule.t list
 (** [simulate_edit name] is the registry (default {!all}) with the named
-    rule rebuilt under a bumped version tag: same name, same pattern,
-    same behavior, new content fingerprint — a behavior-preserving
+    rule rebuilt under a fingerprint derived from its old one: same name,
+    same pattern, same behavior, new content fingerprint — a behavior-preserving
     refactor of the rule's body, reproducible for warm-edit benchmarks,
     CI, and incremental-maintenance tests. The maintenance layer must
     recompute everything depending on the rule, and the recomputed
@@ -43,7 +39,9 @@ val simulate_edit : ?rules:Rule.t list -> string -> Rule.t list
     [Invalid_argument] for an unknown name. *)
 
 val dsl_rules : (string * Dsl.Rdsl.rule) list
-(** The DSL source of each DSL-backed registered rule (the join and select
-    families), keyed by rule name, in registry order. *)
+(** The DSL source of every registered rule, keyed by rule name, in
+    registry order. *)
 
 val rdsl_of : string -> Dsl.Rdsl.rule option
+(** The DSL source of the named registered rule; [None] for an unknown
+    name. *)

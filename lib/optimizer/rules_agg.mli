@@ -2,6 +2,8 @@
     group-by pull-up/push-down across joins (with the functional-dependency
     style preconditions the paper cites), group-by/distinct elimination on
     keys, set-operation commutativity/associativity, and rewrites of
-    INTERSECT/EXCEPT into semi/anti-semi joins. *)
+    INTERSECT/EXCEPT into semi/anti-semi joins. Stated declaratively in
+    the rewrite DSL. *)
 
-val rules : Rule.t list
+val dsl : Dsl.Rdsl.rule list
+(** The family as DSL rules, in registry order. *)

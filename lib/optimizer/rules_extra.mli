@@ -2,6 +2,7 @@
     distribution over INTERSECT/EXCEPT, distinct motion around UNION ALL,
     and cross-join commutativity. Registered after the original rules so
     experiment configurations indexing the registry by prefix are
-    unaffected. *)
+    unaffected. Stated declaratively in the rewrite DSL. *)
 
-val rules : Rule.t list
+val dsl : Dsl.Rdsl.rule list
+(** The family as DSL rules, in registry order. *)

@@ -18,7 +18,8 @@
    complete entry or the new complete entry, never a partial one. *)
 
 let magic = "QTRDC1"
-let format_version = 1
+(* 2: manifest rule records lost their source field *)
+let format_version = 2
 
 type t = { root : string; version : string }
 

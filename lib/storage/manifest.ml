@@ -21,7 +21,6 @@ type rule_info = {
   name : string;
   fingerprint : string;
   pattern_fp : string;
-  source : string;
 }
 
 type t = {

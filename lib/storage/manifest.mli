@@ -16,7 +16,6 @@ type rule_info = {
   name : string;
   fingerprint : string;  (** content digest of the whole rule definition *)
   pattern_fp : string;  (** digest of the pattern alone *)
-  source : string;  (** ["dsl"] or ["closure"] *)
 }
 
 type t = {

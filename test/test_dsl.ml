@@ -1,9 +1,9 @@
-(* The rewrite DSL and its bounded symbolic oracle: compiled-vs-closure
-   parity per ported rule, image round-trips, the oracle over every
-   DSL-backed registered rule and the discovery reference sets,
-   rule-definition fuzzing whose mutants are caught by the symbolic oracle
-   AND the differential pipeline, §3.2 composition parity, and the
-   pattern-mismatch probe as a runtest gate. *)
+(* The rewrite DSL and its bounded symbolic oracle: a golden digest of
+   every registered rule's substitutes, image round-trips, the oracle
+   over every registered rule and the discovery reference sets, rule-definition fuzzing whose mutants are
+   caught by the symbolic oracle AND the differential pipeline, the four
+   seeded faults as DSL terms, and the pattern-mismatch probe as a
+   runtest gate. *)
 module F = Core.Framework
 module Su = Core.Suite
 module C = Core.Compress
@@ -21,41 +21,76 @@ let random_tree ?(max_ops = 7) catalog seed =
   let ctx = { Core.Arggen.g; cat = catalog } in
   Core.Random_gen.generate ~max_ops ctx
 
-(* The ported families, paired with their closure fallbacks (same names,
-   same order — the mli contract). *)
-let ported =
-  List.combine
-    (Optimizer.Rules_join.dsl @ Optimizer.Rules_select.dsl)
-    (Optimizer.Rules_join.closure_rules @ Optimizer.Rules_select.closure_rules)
+(* Golden substitutes: every registered rule applied at every node of a
+   fixed tree set — the random micro-catalog trees plus two dozen
+   instantiations of each rule's own pattern (so every rule fires) — and
+   the substitutes digested structurally. Every tree is generated from
+   the same fresh-label base, so relation labels, and the set orders they
+   induce, do not depend on which tests ran before. The digest was
+   computed while the agg and extra families were still hand-written
+   closures (and the join and select families were held equal to theirs
+   by a parity property): it pins the behaviour of every registered
+   rule across the port to the DSL. *)
+let golden_digest = "05358b0bae56a7a4c269d433f0e23d51"
 
-let () =
+let with_label_base f =
+  let next = Relalg.Ident.fresh_rel () in
+  let saved = int_of_string (String.sub next 1 (String.length next - 1)) in
+  Relalg.Ident.set_fresh 0;
+  Fun.protect ~finally:(fun () -> Relalg.Ident.set_fresh saved) f
+
+let golden_trees () =
+  List.init 300 (fun seed -> with_label_base (fun () -> random_tree micro seed))
+  @ List.concat_map
+      (fun (r : Optimizer.Rule.t) ->
+        List.filter_map
+          (fun seed ->
+            with_label_base (fun () ->
+                Core.Query_gen.instantiate
+                  { Core.Arggen.g = Storage.Prng.create seed; cat = micro }
+                  r.pattern))
+          (List.init 24 Fun.id))
+      Optimizer.Rules.all
+
+let test_golden_substitutes () =
+  let buf = Buffer.create 65536 in
+  let fired = Hashtbl.create 64 in
   List.iter
-    (fun ((d : R.rule), (c : Optimizer.Rule.t)) ->
-      assert (String.equal d.name c.name))
-    ported
+    (fun t ->
+      L.fold
+        (fun () node ->
+          Buffer.add_char buf '\n';
+          List.iter
+            (fun (r : Optimizer.Rule.t) ->
+              match r.apply micro node with
+              | [] -> ()
+              | subs ->
+                Hashtbl.replace fired r.name ();
+                Buffer.add_string buf r.name;
+                List.iter
+                  (fun s -> Buffer.add_string buf (Marshal.to_string s [ Marshal.No_sharing ]))
+                  subs)
+            Optimizer.Rules.all)
+        () t)
+    (golden_trees ());
+  List.iter
+    (fun (r : Optimizer.Rule.t) ->
+      check bool_t (r.name ^ " fires on the golden trees") true (Hashtbl.mem fired r.name))
+    Optimizer.Rules.all;
+  check Alcotest.string "substitute digest" golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-(* Compiling a DSL rule yields byte-identical substitutes to the closure
-   it replaces, and both equal the rule's one-step [image] — on random
-   trees over the micro catalog (which exercises every operator the
-   families match). *)
-let prop_compiled_closure_parity =
-  QCheck.Test.make ~name:"DSL-compiled rules match their closures substitute-for-substitute"
-    ~count:150 seed_arb (fun seed ->
+(* A compiled rule's substitutes are exactly its one-step [image]. *)
+let prop_compiled_is_image =
+  QCheck.Test.make ~name:"compiled rules return their one-step image" ~count:100 seed_arb
+    (fun seed ->
       let t = random_tree micro seed in
       List.for_all
-        (fun ((d : R.rule), (c : Optimizer.Rule.t)) ->
-          let compiled = (R.compile d).apply micro t in
-          let closure = c.apply micro t in
-          let image =
-            match R.image micro d t with Some t' -> [ t' ] | None -> []
-          in
-          (compiled = closure
-          || QCheck.Test.fail_reportf "%s: compiled <> closure on\n%s" d.name
-               (L.to_string t))
-          && (compiled = image
-             || QCheck.Test.fail_reportf "%s: compiled <> image on\n%s" d.name
-                  (L.to_string t)))
-        ported)
+        (fun ((_, d) : string * R.rule) ->
+          let image = match R.image micro d t with Some t' -> [ t' ] | None -> [] in
+          (R.compile d).apply micro t = image
+          || QCheck.Test.fail_reportf "%s: compiled <> image on\n%s" d.name (L.to_string t))
+        Optimizer.Rules.dsl_rules)
 
 (* ------------------------------------------------------------------ *)
 (* The symbolic oracle                                                 *)
@@ -75,28 +110,28 @@ let test_oracle_sound_rules () =
 let test_oracle_discovery_sets () =
   List.iter
     (fun ((name, c) : string * Discovery.Template.candidate) ->
-      match Discovery.Template.to_rdsl ~name c with
-      | None ->
-        check bool_t (name ^ " is the one inexpressible known-sound template")
-          true
-          (String.equal name "IntersectCommute")
-      | Some r -> check Alcotest.string (name ^ " sound") "sound" (verdict r))
+      check Alcotest.string (name ^ " sound") "sound"
+        (verdict (Discovery.Template.to_rdsl ~name c)))
     Discovery.Template.known_sound;
   List.iter
     (fun ((name, c) : string * Discovery.Template.candidate) ->
-      match Discovery.Template.to_rdsl ~name c with
-      | None -> Alcotest.failf "seeded-unsound %s not expressible" name
-      | Some r -> check Alcotest.string (name ^ " refuted") "refuted" (verdict r))
+      check Alcotest.string (name ^ " refuted") "refuted"
+        (verdict (Discovery.Template.to_rdsl ~name c)))
     Discovery.Template.seeded_unsound
 
-(* Mutation fuzzing over the whole DSL registry. Every mutant must be
-   refuted except the four known blind spots, which are asserted exactly:
-   the semi/anti-semi widened parts are genuinely sound (the filter above
-   a semi-join only sees left columns), and the dropped set-op renames are
-   invisible to the oracle because column naming is bookkeeping the
-   symbolic model does not carry (both branches share a universe). *)
+(* Mutation fuzzing over the whole registry (all 50 rules). Every mutant
+   must be refuted except the known blind spots, which are asserted
+   exactly: the semi/anti-semi widened parts are genuinely sound (the
+   filter above a semi-join only sees left columns); the dropped set-op
+   renames are invisible to the oracle because column naming is
+   bookkeeping the symbolic model does not carry (both branches share a
+   universe); and dropping GbAggPushBelowJoin's keys-from-A side is
+   unsound only through a keyless aggregate's one row from an empty
+   input, which the model's grouping does not produce. *)
 let expected_survivors =
-  [ "PushSelectBelowAntiSemiJoin!widen-part@0";
+  [ "GbAggPushBelowJoin!drop-side:some grouping key is a column of A";
+    "PushSelectBelowAntiSemiJoin!widen-part@0";
+    "PushSelectBelowIntersect!drop-rename@0";
     "PushSelectBelowSemiJoin!widen-part@0";
     "SelectBelowUnion!drop-rename@0";
     "SelectBelowUnionAll!drop-rename@0" ]
@@ -127,7 +162,7 @@ let mutant_of victim tag =
   let d =
     match Optimizer.Rules.rdsl_of victim with
     | Some d -> d
-    | None -> Alcotest.failf "%s is not DSL-backed" victim
+    | None -> Alcotest.failf "%s is not a registered rule" victim
   in
   match List.assoc_opt tag (R.mutations d) with
   | Some (m : R.rule) -> { m with R.name = victim }
@@ -175,60 +210,41 @@ let test_join_family_mutant_caught_by_both () =
   caught_by_both ("SimplifyLeftOuterJoin", "drop-side:p1 null-rejecting on B")
 
 (* The §3 fault family that motivated the oracle: pushing the
-   right-scoped conjuncts below the padded side of a left outer join.
-   Identical in effect to [Core.Faults]' buggy_push_below_loj; stated
-   here as a DSL term so the oracle can refute it without an executor.
-   With the two mutants above, three of the four seeded faults are now
-   refuted symbolically; buggy_gbagg_push is outside the DSL fragment
-   (the agg family is not ported) and remains differential-only. *)
-let buggy_loj_right_push =
-  let open R in
-  let p0 = Pvar 0 and p1 = Pvar 1 in
-  let after_left = Presid (p1, Rels [ 0 ]) in
-  { name = "PushSelectBelowLeftOuterJoin";
-    lhs = Filter (p1, Join (L.LeftOuter, p0, Var 0, Var 1));
-    rhs =
-      Filter_nontrivial
-        ( Presid (after_left, Rels [ 1 ]),
-          Join
-            ( L.LeftOuter,
-              p0,
-              Filter_nontrivial (Ppart (p1, Rels [ 0 ]), Var 0),
-              Filter_nontrivial (Ppart (after_left, Rels [ 1 ]), Var 1) ) );
-    sides = [ Some_pushed [ (p1, Rels [ 0 ]); (after_left, Rels [ 1 ]) ] ] }
+   right-scoped conjuncts below the padded side of a left outer join —
+   [Core.Faults]' term for that fault, refuted without an executor. *)
+let contains sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
 let test_buggy_loj_right_push_refuted () =
-  (match R.Verify.verify buggy_loj_right_push with
+  let buggy = Core.Faults.term "PushSelectBelowLeftOuterJoin" in
+  (match R.Verify.verify buggy with
   | R.Verify.Refuted cx ->
     (* The counterexample is the paper's scenario: an unmatched left row
        whose padded columns fail the pushed predicate. *)
     check bool_t "counterexample mentions a null-padded row" true
-      (List.exists
-         (fun (_, inst) -> String.length inst >= 0)
-         cx.R.Verify.instances)
+      (List.exists (contains "null") [ cx.R.Verify.lhs_rows; cx.R.Verify.rhs_rows ])
   | v ->
     Alcotest.failf "buggy LOJ right-push not refuted: %s"
       (R.Verify.verdict_to_string v));
   check bool_t "buggy LOJ right-push caught differentially" true
-    (differential_catches "PushSelectBelowLeftOuterJoin" buggy_loj_right_push)
+    (differential_catches "PushSelectBelowLeftOuterJoin" buggy)
 
-(* ------------------------------------------------------------------ *)
-(* Composition and the mismatch gate                                   *)
-
-let test_compose_parity () =
-  let dsl = List.map snd Optimizer.Rules.dsl_rules in
+(* All four seeded faults are DSL terms: each is refuted by the symbolic
+   oracle and caught by the differential pipeline on its crafted query. *)
+let test_faults_refuted_and_caught () =
   List.iter
-    (fun (d1 : R.rule) ->
-      List.iter
-        (fun (d2 : R.rule) ->
-          let derived = R.compose d1 d2 in
-          let legacy = Core.Query_gen.compose (R.pattern d1) (R.pattern d2) in
-          if derived <> legacy then
-            Alcotest.failf "compose(%s, %s) diverges from the legacy derivation"
-              d1.R.name d2.R.name)
-        dsl)
-    dsl;
-  check bool_t "all pairs agree" true true
+    (fun victim ->
+      let buggy = Core.Faults.term victim in
+      (match R.Verify.verify buggy with
+      | R.Verify.Refuted _ -> ()
+      | v ->
+        Alcotest.failf "fault %s not refuted symbolically: %s" victim
+          (R.Verify.verdict_to_string v));
+      check bool_t (victim ^ " fault caught differentially") true
+        (differential_catches victim buggy))
+    Core.Faults.names
 
 (* dune runtest fails if any registered rule would fire on a root its own
    pattern rejects (satellite: the [Rule.make] mismatch probe). Deltas,
@@ -249,8 +265,8 @@ let test_pattern_mismatch_gate () =
   (* Positive control: a rule declaring a Distinct pattern while its apply
      rewrites any root must trip the probe. *)
   let bad =
-    Optimizer.Rule.make "TestDslBadProbeControl"
-      (Optimizer.Pattern.Op (L.KDistinct, [ Optimizer.Pattern.Any ]))
+    Optimizer.Rule.make ~fingerprint:"TestDslBadProbeControl" "TestDslBadProbeControl"
+      (Dsl.Pattern.Op (L.KDistinct, [ Dsl.Pattern.Any ]))
       (fun _ t -> [ t ])
   in
   ignore (bad.apply micro (random_tree micro 1));
@@ -262,7 +278,9 @@ let test_pattern_mismatch_gate () =
 
 let suite =
   [ ( "dsl",
-    [ QCheck_alcotest.to_alcotest prop_compiled_closure_parity;
+    [ Alcotest.test_case "golden substitute digest of every registered rule" `Quick
+        test_golden_substitutes;
+      QCheck_alcotest.to_alcotest prop_compiled_is_image;
       Alcotest.test_case "every DSL-backed registered rule verifies sound" `Quick
         test_oracle_sound_rules;
       Alcotest.test_case "discovery reference sets verify as expected" `Quick
@@ -275,7 +293,7 @@ let suite =
         test_join_family_mutant_caught_by_both;
       Alcotest.test_case "buggy LOJ right-push refuted and caught" `Quick
         test_buggy_loj_right_push_refuted;
-      Alcotest.test_case "DSL-derived composition equals the legacy derivation"
-        `Quick test_compose_parity;
+      Alcotest.test_case "all four faults refuted and caught" `Quick
+        test_faults_refuted_and_caught;
       Alcotest.test_case "pattern-mismatch probe gates the registry" `Quick
         test_pattern_mismatch_gate ] ) ]

@@ -37,13 +37,16 @@ let test_fingerprints_distinct () =
     fps
 
 let test_dsl_fingerprint_is_term_digest () =
-  (* DSL-backed rules digest their Rdsl term, so the fingerprint is a
-     pure function of the declarative source. *)
-  match Optimizer.Rules.dsl_rules with
-  | [] -> Alcotest.fail "no DSL rules registered"
-  | (name, rdsl) :: _ ->
-    let r = Option.get (Optimizer.Rules.find name) in
-    check string_t "term digest" (Dsl.Rdsl.fingerprint rdsl) r.R.fingerprint
+  (* Every registered rule is a DSL term and digests it, so each
+     fingerprint is a pure function of the declarative source. *)
+  check int_t "every registered rule has a DSL term" Optimizer.Rules.count
+    (List.length Optimizer.Rules.dsl_rules);
+  List.iter
+    (fun (r : R.t) ->
+      match Optimizer.Rules.rdsl_of r.name with
+      | None -> Alcotest.failf "%s has no DSL term" r.name
+      | Some d -> check string_t (r.name ^ " term digest") (Dsl.Rdsl.fingerprint d) r.fingerprint)
+    Optimizer.Rules.all
 
 let test_simulate_edit () =
   let orig = Option.get (Optimizer.Rules.find "JoinCommute") in
@@ -76,7 +79,7 @@ let test_collect_matched () =
 
 (* ---------------- manifest ---------------- *)
 
-let ri name fp pfp = { M.name; fingerprint = fp; pattern_fp = pfp; source = "closure" }
+let ri name fp pfp = { M.name; fingerprint = fp; pattern_fp = pfp }
 
 let test_manifest_roundtrip () =
   let dc = Storage.Diskcache.create ~dir:(tmp_dir ()) () in
@@ -217,10 +220,15 @@ let test_incremental_jobs_invariant () =
 (* An inert body is a behavior-CHANGING edit (the rule stops firing):
    suite, ruleset and costs all shift. Ground truth stays the same —
    a cold rebuild with the same edited registry. *)
+(* Test rules state their content digest explicitly, derived from a tag
+   and the name or prior fingerprint they stand in for. *)
+let digest_of tag id = Digest.to_hex (Digest.string (tag ^ "\x00" ^ id))
+
 let inert name rules =
   List.map
     (fun (r : R.t) ->
-      if r.name = name then R.make ~version:"inert" r.name r.pattern (fun _ _ -> [])
+      if r.name = name then
+        R.make ~fingerprint:(digest_of "inert" r.fingerprint) r.name r.pattern (fun _ _ -> [])
       else r)
     rules
 
@@ -250,7 +258,7 @@ let test_incremental_addition_forces_full_rebuild () =
   let dir = tmp_dir () in
   ignore (run_incremental ~pool ~dir base_rules);
   let extra =
-    R.make ~version:"test-extra" "ZZZ_TestExtra"
+    R.make ~fingerprint:(digest_of "test-extra" "ZZZ_TestExtra") "ZZZ_TestExtra"
       (Option.get (Optimizer.Rules.find "JoinCommute")).R.pattern (fun _ _ -> [])
   in
   let rules = base_rules @ [ extra ] in
@@ -289,10 +297,12 @@ let ops_arb =
     QCheck.Gen.(list_size (int_range 1 3) op_gen)
 
 let apply_op rules op =
-  let bump version name =
+  let bump tag name =
     List.map
       (fun (r : R.t) ->
-        if r.name = name then R.make ~version r.name r.pattern r.apply else r)
+        if r.name = name then
+          R.make ~fingerprint:(digest_of tag r.fingerprint) r.name r.pattern r.apply
+        else r)
       rules
   in
   match op with
@@ -306,7 +316,7 @@ let apply_op rules op =
     if List.exists (fun (r : R.t) -> r.name = name) rules then rules
     else
       rules
-      @ [ R.make ~version:"prop-add" name
+      @ [ R.make ~fingerprint:(digest_of "prop-add" name) name
             (Option.get (Optimizer.Rules.find "JoinCommute")).R.pattern
             (fun _ _ -> []) ]
 

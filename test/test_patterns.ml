@@ -1,7 +1,7 @@
 (* Rule patterns: matching, composition, and the XML export API. *)
 open Relalg
 module L = Logical
-module P = Optimizer.Pattern
+module P = Dsl.Pattern
 module S = Scalar
 
 let check = Alcotest.check

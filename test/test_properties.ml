@@ -43,7 +43,7 @@ let prop_instantiation_valid =
           let has_project =
             L.fold (fun acc n -> acc || L.kind n = L.KProject) false t
           in
-          Optimizer.Pattern.matches_anywhere rule.pattern t || has_project
+          Dsl.Pattern.matches_anywhere rule.pattern t || has_project
         | Error e -> QCheck.Test.fail_reportf "invalid: %s\n%s" e (L.to_string t)))
 
 let prop_rewrites_preserve_schema =
