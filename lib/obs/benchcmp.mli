@@ -1,4 +1,4 @@
-(** Benchmark-history regression gate.
+(** Benchmark regression gate.
 
     Compares two bench result documents ([BENCH_results.json]) metric by
     metric against per-metric thresholds and classifies each as passed,
@@ -19,12 +19,10 @@ type kind =
   | Seconds  (** wall clocks — noisiest, scaled hardest by [slack] *)
   | Flag  (** correctness booleans — zero tolerance, slack-immune *)
   | Count  (** cardinalities (reproducer counts, …) *)
-  | Delta  (** near-zero metrics (e.g. overhead fractions) — absolute band *)
 
 type spec = { path : string; dir : direction; kind : kind; threshold : float }
-(** [threshold] is the allowed change in the bad direction — relative to
-    [|old|] for {!Ratio}/{!Seconds}/{!Count} (0.25 = 25%), absolute for
-    {!Delta}; {!Flag} ignores it. *)
+(** [threshold] is the allowed change in the bad direction, relative to
+    [|old|] (0.25 = 25%); {!Flag} ignores it. *)
 
 type status =
   | Passed
@@ -42,9 +40,11 @@ type finding = {
 }
 
 val default_specs : spec list
-(** The gate run in CI: engine/executor speedups, determinism and
-    agreement flags, parallel scaling + attribution coverage, triage
-    quality, per-experiment wall clocks. *)
+(** The gate run in CI: the paper's Figure 8/11-14 shape flags,
+    engine/executor speedups, determinism, agreement and
+    profiler-overhead flags, triage quality, per-experiment wall
+    clocks. Every path must resolve in the checked-in
+    [bench/BASELINE.json] (a test checks this). *)
 
 val lookup : Json.t -> string -> float option
 (** Resolve a metric path ([Int]/[Float]/[Bool] leaf) to a float. *)
@@ -60,10 +60,6 @@ val compare_results :
 val regressions : finding list -> finding list
 (** The findings that should fail a gate ({!Regressed} and
     {!Missing_new}). *)
-
-val extract : ?specs:spec list -> Json.t -> (string * float) list
-(** The gate's metrics flattened to [(path, value)] — the key-metrics
-    block of a [BENCH_history.jsonl] record. *)
 
 val finding_json : finding -> Json.t
 val findings_json : finding list -> Json.t

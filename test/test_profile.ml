@@ -245,11 +245,13 @@ let test_trace_flushes_per_line () =
 
 module B = Obs.Benchcmp
 
-let bench_doc ~speedup ~agree ~jobs4_identical =
+let bench_doc ?(fig12_shape = true) ~speedup ~agree ~jobs4_identical () =
   Obs.Json.Obj
     [ ( "details",
         Obs.Json.Obj
-          [ ( "execute",
+          [ ( "fig12",
+              Obs.Json.Obj [ ("topk_le_smc_le_baseline", Obs.Json.Bool fig12_shape) ] );
+            ( "execute",
               Obs.Json.Obj
                 [ ("speedup", Obs.Json.Float speedup);
                   ("agree", Obs.Json.Bool agree) ] );
@@ -266,7 +268,9 @@ let bench_doc ~speedup ~agree ~jobs4_identical =
                             ("speedup_vs_jobs1", Obs.Json.Float 1.4) ] ] ) ] ) ] ) ]
 
 let specs =
-  [ { B.path = "details/execute/speedup"; dir = B.Higher_is_better; kind = B.Ratio;
+  [ { B.path = "details/fig12/topk_le_smc_le_baseline"; dir = B.Higher_is_better;
+      kind = B.Flag; threshold = 0.0 };
+    { B.path = "details/execute/speedup"; dir = B.Higher_is_better; kind = B.Ratio;
       threshold = 0.25 };
     { B.path = "details/execute/agree"; dir = B.Higher_is_better; kind = B.Flag;
       threshold = 0.0 };
@@ -276,17 +280,17 @@ let specs =
 let regressed findings = List.length (B.regressions findings)
 
 let test_benchdiff_passes_identical () =
-  let doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true in
+  let doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true () in
   let fs = B.compare_results ~specs ~old_doc:doc ~new_doc:doc () in
-  check int_t "all compared" 3 (List.length fs);
+  check int_t "all compared" 4 (List.length fs);
   check int_t "no regressions on identical docs" 0 (regressed fs)
 
 let test_benchdiff_catches_injected_regression () =
   (* The synthetic injection of the acceptance criterion: halving a
      gated speedup must make the gate fire (qtr bench-diff exits 1 when
      [regressions] is non-empty). *)
-  let old_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true in
-  let new_doc = bench_doc ~speedup:1.0 ~agree:true ~jobs4_identical:true in
+  let old_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true () in
+  let new_doc = bench_doc ~speedup:1.0 ~agree:true ~jobs4_identical:true () in
   let fs = B.compare_results ~specs ~old_doc ~new_doc () in
   check bool_t "regression detected" true (regressed fs > 0);
   let f =
@@ -295,19 +299,29 @@ let test_benchdiff_catches_injected_regression () =
   check bool_t "classified Regressed" true (f.status = B.Regressed)
 
 let test_benchdiff_flags_are_slack_immune () =
-  let old_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true in
-  let new_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:false in
+  let old_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true () in
+  let new_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:false () in
   (* Huge slack forgives any numeric wobble but never a flipped flag. *)
   let fs = B.compare_results ~specs ~slack:1000.0 ~old_doc ~new_doc () in
   check int_t "flag flip still fires" 1 (regressed fs);
+  (* A figure whose shape stops holding fires the same way. *)
+  let broken = bench_doc ~fig12_shape:false ~speedup:2.0 ~agree:true ~jobs4_identical:true () in
+  let fs = B.compare_results ~specs ~slack:1000.0 ~old_doc ~new_doc:broken () in
+  check int_t "figure shape flip still fires" 1 (regressed fs);
+  let fs = B.compare_results ~slack:1000.0 ~old_doc ~new_doc:broken () in
+  check bool_t "default specs gate the fig12 shape" true
+    (List.exists
+       (fun (f : B.finding) ->
+         f.spec.B.path = "details/fig12/topk_le_smc_le_baseline" && f.status = B.Regressed)
+       fs);
   (* ...while slack does forgive a numeric drop of the same magnitude. *)
-  let slow = bench_doc ~speedup:1.0 ~agree:true ~jobs4_identical:true in
+  let slow = bench_doc ~speedup:1.0 ~agree:true ~jobs4_identical:true () in
   let fs' = B.compare_results ~specs ~slack:1000.0 ~old_doc ~new_doc:slow () in
   check int_t "numeric drop forgiven under slack" 0 (regressed fs')
 
 let test_benchdiff_missing_and_improved () =
-  let old_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true in
-  let better = bench_doc ~speedup:4.0 ~agree:true ~jobs4_identical:true in
+  let old_doc = bench_doc ~speedup:2.0 ~agree:true ~jobs4_identical:true () in
+  let better = bench_doc ~speedup:4.0 ~agree:true ~jobs4_identical:true () in
   let fs = B.compare_results ~specs ~old_doc ~new_doc:better () in
   let f =
     List.find (fun (f : B.finding) -> f.spec.B.path = "details/execute/speedup") fs
@@ -316,46 +330,51 @@ let test_benchdiff_missing_and_improved () =
   (* A gated metric vanishing from the new document is a regression. *)
   let gone = Obs.Json.Obj [ ("details", Obs.Json.Obj []) ] in
   let fs' = B.compare_results ~specs ~old_doc ~new_doc:gone () in
-  check int_t "vanished metrics regress" 3 (regressed fs')
+  check int_t "vanished metrics regress" 4 (regressed fs')
 
-let test_benchdiff_delta_and_negative_baselines () =
-  let doc v = Obs.Json.Obj [ ("overhead", Obs.Json.Float v) ] in
-  let dspec =
-    [ { B.path = "overhead"; dir = B.Lower_is_better; kind = B.Delta;
-        threshold = 0.1 } ]
-  in
-  (* A negative baseline (scheduler noise) compared with itself must
-     pass — the relative band used to invert here. *)
-  let fs = B.compare_results ~specs:dspec ~old_doc:(doc (-0.11)) ~new_doc:(doc (-0.11)) () in
-  check int_t "identical negative overhead passes" 0 (regressed fs);
-  (* Drift inside the absolute band passes; beyond it fires. *)
-  let fs = B.compare_results ~specs:dspec ~old_doc:(doc (-0.02)) ~new_doc:(doc 0.05) () in
-  check int_t "+7pp inside a 10pp band passes" 0 (regressed fs);
-  let fs = B.compare_results ~specs:dspec ~old_doc:(doc (-0.02)) ~new_doc:(doc 0.2) () in
-  check int_t "+22pp beyond a 10pp band fires" 1 (regressed fs);
+let test_benchdiff_negative_baselines () =
   (* Relative kinds keep the band the right way round for negative
-     baselines too. *)
+     baselines (e.g. a speedup measured below zero on a noisy box). *)
+  let doc v = Obs.Json.Obj [ ("speedup", Obs.Json.Float v) ] in
   let rspec =
-    [ { B.path = "overhead"; dir = B.Higher_is_better; kind = B.Ratio;
+    [ { B.path = "speedup"; dir = B.Higher_is_better; kind = B.Ratio;
         threshold = 0.25 } ]
   in
   let fs = B.compare_results ~specs:rspec ~old_doc:(doc (-2.0)) ~new_doc:(doc (-2.0)) () in
   check int_t "identical negative ratio passes" 0 (regressed fs);
+  let fs = B.compare_results ~specs:rspec ~old_doc:(doc (-2.0)) ~new_doc:(doc (-2.4)) () in
+  check int_t "drift inside the band passes" 0 (regressed fs);
   let fs = B.compare_results ~specs:rspec ~old_doc:(doc (-2.0)) ~new_doc:(doc (-4.0)) () in
   check int_t "worsening negative ratio fires" 1 (regressed fs)
 
 let test_benchdiff_path_selectors () =
-  let doc = bench_doc ~speedup:2.5 ~agree:true ~jobs4_identical:true in
+  let doc = bench_doc ~speedup:2.5 ~agree:true ~jobs4_identical:true () in
   check bool_t "plain path" true
     (B.lookup doc "details/execute/speedup" = Some 2.5);
   check bool_t "selector picks the jobs=4 element" true
     (B.lookup doc "details/parallel/runs[jobs=4]/speedup_vs_jobs1" = Some 1.4);
   check bool_t "bool reads as 1" true
     (B.lookup doc "details/parallel/runs[jobs=1]/identical_to_jobs1" = Some 1.0);
-  check bool_t "missing path is None" true (B.lookup doc "details/nope" = None);
-  (* extract flattens exactly the gate's view of the document. *)
-  let kv = B.extract ~specs doc in
-  check int_t "extract covers present specs" 3 (List.length kv)
+  check bool_t "missing path is None" true (B.lookup doc "details/nope" = None)
+
+(* A default spec whose path the checked-in baseline lacks would report
+   "new-metric" and pass forever; every one must resolve, and every
+   flag must read true there. *)
+let test_benchdiff_baseline_covers_default_specs () =
+  let text = In_channel.with_open_bin "../bench/BASELINE.json" In_channel.input_all in
+  let baseline =
+    match Obs.Json.of_string text with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "bench/BASELINE.json: %s" e
+  in
+  List.iter
+    (fun (spec : B.spec) ->
+      match (B.lookup baseline spec.path, spec.kind) with
+      | None, _ -> Alcotest.failf "%s missing from bench/BASELINE.json" spec.path
+      | Some v, B.Flag ->
+        check bool_t (spec.path ^ " holds in the baseline") true (v >= 0.5)
+      | Some _, _ -> ())
+    B.default_specs
 
 let suite =
   [ ( "obs-profile",
@@ -380,6 +399,7 @@ let suite =
           test_benchdiff_flags_are_slack_immune;
         Alcotest.test_case "missing and improved statuses" `Quick
           test_benchdiff_missing_and_improved;
-        Alcotest.test_case "delta kind and negative baselines" `Quick
-          test_benchdiff_delta_and_negative_baselines;
-        Alcotest.test_case "path selectors" `Quick test_benchdiff_path_selectors ] ) ]
+        Alcotest.test_case "negative baselines" `Quick test_benchdiff_negative_baselines;
+        Alcotest.test_case "path selectors" `Quick test_benchdiff_path_selectors;
+        Alcotest.test_case "baseline covers default specs" `Quick
+          test_benchdiff_baseline_covers_default_specs ] ) ]
