@@ -923,6 +923,12 @@ let parallel_bench ~full =
   let gen_rules = List.filteri (fun i _ -> i < 8) Optimizer.Rules.names in
   let gen_targets = List.map (fun r -> Su.Single r) gen_rules in
   let measure jobs =
+    (* Every row starts cold on the calling domain: the hash-cons table
+       (and with it the rewrite memo) and the property memo are dropped.
+       Otherwise the jobs-1 row warms them for the later rows, and their
+       speedup reads superlinear. *)
+    Relalg.Hashcons.clear ();
+    Relalg.Props.clear ();
     let pool = Par.Pool.create ~jobs () in
     let g = Prng.create 4321 in
     let t0 = now () in

@@ -693,12 +693,13 @@ let compress_cmd =
             Printf.printf "%d distinct queries (shortfalls %d)\n%!"
               (Array.length suite.entries)
               (List.length (Core.Suite.shortfall suite));
-          (* In printed order, so trace spans and matrix spills follow
-             the output. *)
-          let baseline = Core.Compress.baseline ~pool ~ec fw suite in
-          let smc = Core.Compress.smc ~pool ~ec fw suite in
+          (* TOPK first: it computes every covering edge, so its solve
+             spills the whole matrix once and the others are served from
+             the memo. Each solution is independent of the order. *)
           let topk = Core.Compress.topk ~pool ~ec fw suite in
           let mono = Core.Compress.topk ~exploit_monotonicity:true ~ec fw suite in
+          let baseline = Core.Compress.baseline ~pool ~ec fw suite in
+          let smc = Core.Compress.smc ~pool ~ec fw suite in
           [ ("BASELINE", baseline); ("SMC", smc); ("TOPK", topk); ("TOPK+mono", mono) ])
     in
     if json then begin
@@ -1123,10 +1124,10 @@ let stats_cmd =
       in
       let rw_hits = global_counter "optimizer.rewrite_memo.hits" in
       let rw_misses = global_counter "optimizer.rewrite_memo.misses" in
-      (* The hash-cons table and the rewrite memo are domain-local: past
-         --jobs 1 their sizes are the calling domain's alone, and depend
-         on how the pool scheduled the queries. The hit counts are
-         process-wide. *)
+      (* The hash-cons table, the property memo and the rewrite memo
+         are domain-local: past --jobs 1 their sizes are the calling
+         domain's alone, and depend on how the pool scheduled the
+         queries. The hit counts are process-wide. *)
       let own = if Par.Pool.jobs pool > 1 then " (calling domain)" else "" in
       Printf.printf
         "trees explored %d | plan memo hit rate %.1f%% (%d/%d) | budget exhausted \
@@ -1135,12 +1136,15 @@ let stats_cmd =
         (rate hits misses) hits (hits + misses) !exhausted queries
         (Core.Framework.invocations fw);
       Printf.printf
-        "hashcons%s: %d live nodes (%d interned, %d reused) | rewrite memo%s %d \
-         entries, hit rate %.1f%% (%d/%d) | %d explorations reused\n"
+        "hashcons%s: %d live nodes (%d interned, %d reused) | property memo%s \
+         %d entries | rewrite memo%s %d entries, hit rate %.1f%% (%d/%d) | %d \
+         explorations reused\n"
         own
         (Relalg.Hashcons.live_nodes ())
         (Relalg.Hashcons.misses ())
         (Relalg.Hashcons.hits ())
+        own
+        (Relalg.Props.memo_entries ())
         own
         (Optimizer.Engine.Reference.memo_entries ())
         (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses)
@@ -1326,9 +1330,10 @@ let report_cmd =
               (List.length targets) k c.scale c.budget (Par.Pool.jobs pool)
               (match inject with None -> "" | Some r -> ", fault " ^ r))
         (fun { pool; fw; suite; ec; _ } ->
-          (* A let, not a tuple, so BASELINE runs first. *)
-          let baseline = Core.Compress.baseline ~pool ~ec fw suite in
-          (baseline, Core.Compress.topk ~pool ~ec fw suite))
+          (* A let, not a tuple, so TOPK runs first: it computes every
+             covering edge, so the matrix is spilled once. *)
+          let sol = Core.Compress.topk ~pool ~ec fw suite in
+          (Core.Compress.baseline ~pool ~ec fw suite, sol))
     in
     let shortfalls = Core.Suite.shortfall suite in
     let correctness = Core.Correctness.run ~pool fw suite sol in

@@ -25,6 +25,7 @@ type edge_costs = {
   deps : (int, string list) Hashtbl.t;
   mutable computed_n : int;
   mutable warm_n : int;
+  mutable stored_at : int option;  (** [computed_n] at the last spill *)
 }
 
 let matrix_ns = "matrix"
@@ -103,7 +104,8 @@ let edge_costs ?disk ?(warm_edges = []) fw (suite : Suite.t) =
     disk_served_c = Obs.Metrics.counter "compress.matrix.disk_served";
     deps = Hashtbl.create 64;
     computed_n = 0;
-    warm_n = 0 }
+    warm_n = 0;
+    stored_at = None }
 
 (* Every cell this service knows: computed this run or inherited warm. *)
 let known ec =
@@ -113,13 +115,17 @@ let known ec =
     ec.warm;
   Hashtbl.to_seq union
 
-(* Last-writer-wins under the same key is benign: both writers computed
-   the same costs. *)
+(* Spills on the first call, then only when a cell was computed since
+   the last spill: the algorithms sharing one service each call this,
+   and re-marshalling an unchanged matrix is pure waste. Last-writer-wins
+   under the same key is benign: both writers computed the same costs. *)
 let save_matrix ec =
   match ec.disk with
-  | None -> ()
-  | Some (dc, key) ->
-    ignore (Storage.Diskcache.store dc ~ns:matrix_ns ~key (Array.of_seq (known ec)))
+  | Some (dc, key) when ec.stored_at <> Some ec.computed_n ->
+    ignore (Storage.Diskcache.store dc ~ns:matrix_ns ~key (Array.of_seq (known ec)));
+    ec.stored_at <- Some ec.computed_n;
+    Obs.Metrics.incr (Obs.Metrics.counter "compress.matrix.stores")
+  | _ -> ()
 
 let record_deps ec query_idx matched =
   match Hashtbl.find_opt ec.deps query_idx with

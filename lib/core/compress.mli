@@ -51,8 +51,10 @@ val edge_cost : edge_costs -> target_idx:int -> query_idx:int -> float
 
 val save_matrix : edge_costs -> unit
 (** Spill every known edge (computed this run or inherited warm) back to
-    the attached disk cache; no-op without [?disk]. The algorithms below
-    call this before returning. *)
+    the attached disk cache; no-op without [?disk]. The first call always
+    stores; a later one only if the service computed a cell since its
+    last store (each store bumps [compress.matrix.stores]). The
+    algorithms below call this before returning. *)
 
 val prefetch : ?pool:Par.Pool.t -> edge_costs -> (int * int) list -> unit
 (** [prefetch ?pool ec pairs] fills the memo for the given

@@ -478,4 +478,5 @@ let to_rule ?name c =
   let fingerprint =
     Digest.to_hex (Digest.string ("template\x00" ^ name ^ "\x00" ^ display c))
   in
-  Optimizer.Rule.make ~fingerprint name pattern apply
+  Optimizer.Rule.make ~fingerprint name pattern (fun cat (n : H.node) ->
+      List.map H.intern (apply cat n.repr))

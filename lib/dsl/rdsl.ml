@@ -12,6 +12,7 @@
 
 open Relalg
 module L = Logical
+module H = Hashcons
 module S = Scalar
 
 type rv = int
@@ -179,10 +180,13 @@ let rec keyed_rvs = function
 (* Concrete interpretation: matching, side checks, building            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every relation metavariable is bound to a node of the input, so side
+   conditions read properties by node id and [build] interns only the
+   operators the rhs creates. *)
 type env = {
   cat : Storage.Catalog.t;
-  root : L.t;
-  mutable rels : (rv * L.t) list;
+  root : H.node;
+  mutable rels : (rv * H.node) list;
   mutable preds : (pv * S.t) list;
   mutable defs : (dv * (Ident.t * S.t) list) list;
   mutable sorts : (sv * (Ident.t * L.sort_dir) list) list;
@@ -195,36 +199,37 @@ let defs env d = List.assoc d env.defs
 
 exception No_match
 
-let rec match_lhs env t (tree : L.t) =
-  match (t, tree) with
-  | Var r, _ -> env.rels <- (r, tree) :: env.rels
-  | Filter (Pvar p, t'), L.Filter { pred; child } ->
+let rec match_lhs env t (n : H.node) =
+  let kid i = n.H.kids.(i) in
+  match (t, n.H.repr) with
+  | Var r, _ -> env.rels <- (r, n) :: env.rels
+  | Filter (Pvar p, t'), L.Filter { pred; _ } ->
     env.preds <- (p, pred) :: env.preds;
-    match_lhs env t' child
-  | Join (k, Pvar p, a, b), L.Join { kind; pred; left; right } when kind = k ->
+    match_lhs env t' (kid 0)
+  | Join (k, Pvar p, a, b), L.Join { kind; pred; _ } when kind = k ->
     env.preds <- (p, pred) :: env.preds;
-    match_lhs env a left;
-    match_lhs env b right
-  | Proj (Dvar d, t'), L.Project { cols; child } ->
+    match_lhs env a (kid 0);
+    match_lhs env b (kid 1)
+  | Proj (Dvar d, t'), L.Project { cols; _ } ->
     env.defs <- (d, cols) :: env.defs;
-    match_lhs env t' child
-  | GroupBy (Gkeys, t'), L.GroupBy { keys; aggs; child } ->
+    match_lhs env t' (kid 0)
+  | GroupBy (Gkeys, t'), L.GroupBy { keys; aggs; _ } ->
     env.gb <- Some (keys, aggs);
-    match_lhs env t' child
-  | Sort (s, t'), L.Sort { keys; child } ->
+    match_lhs env t' (kid 0)
+  | Sort (s, t'), L.Sort { keys; _ } ->
     env.sorts <- (s, keys) :: env.sorts;
-    match_lhs env t' child
-  | Distinct t', L.Distinct child -> match_lhs env t' child
-  | UnionAll (a, b), L.UnionAll (l, r)
-  | Union (a, b), L.Union (l, r)
-  | Intersect (a, b), L.Intersect (l, r)
-  | Except (a, b), L.Except (l, r) ->
-    match_lhs env a l;
-    match_lhs env b r
+    match_lhs env t' (kid 0)
+  | Distinct t', L.Distinct _ -> match_lhs env t' (kid 0)
+  | UnionAll (a, b), L.UnionAll _
+  | Union (a, b), L.Union _
+  | Intersect (a, b), L.Intersect _
+  | Except (a, b), L.Except _ ->
+    match_lhs env a (kid 0);
+    match_lhs env b (kid 1)
   | _ -> raise No_match
 
 let gb env = match env.gb with Some g -> g | None -> raise No_match
-let out_ids env r = Props.output_idents env.cat (rel env r)
+let out_ids env r = Props.Node.output_idents env.cat (rel env r)
 
 let scope_ids env = function
   | Rels rvs ->
@@ -240,9 +245,8 @@ let keys_within env r =
    whole rule a no-op. *)
 exception Build_failed
 
-let schema_exn env tree =
-  match Props.schema env.cat tree with Ok c -> c | Error _ -> raise Build_failed
-
+let schema_exn env n =
+  match Props.Node.schema env.cat n with Ok c -> c | Error _ -> raise Build_failed
 let lookup_def cols id =
   List.find_map (fun (out, e) -> if Ident.equal out id then Some e else None) cols
 
@@ -278,7 +282,7 @@ let check_side env = function
   | Null_rejecting (p, rvs) -> S.is_null_rejecting (pred env p) (scope_ids env (Rels rvs))
   | Key_within_equi (p, l, r) ->
     let _, rcols = Props.equi_join_columns (pred env p) (out_ids env l) (out_ids env r) in
-    Props.has_key_within env.cat (rel env r) rcols
+    Props.Node.has_key_within env.cat (rel env r) rcols
   | Trivial p -> S.equal (pred env p) S.true_
   | Identity_proj (d, r) ->
     let cols = defs env d in
@@ -291,9 +295,9 @@ let check_side env = function
          cols child_cols
   | Scoped_within (p, rvs) ->
     Ident.Set.subset (S.columns (pred env p)) (scope_ids env (Rels rvs))
-  | Has_key r -> Props.keys env.cat (rel env r) <> []
+  | Has_key r -> Props.Node.keys env.cat (rel env r) <> []
   | Key_within_keys r ->
-    Props.has_key_within env.cat (rel env r) (Ident.Set.of_list (keys_within env r))
+    Props.Node.has_key_within env.cat (rel env r) (Ident.Set.of_list (keys_within env r))
   | Agg_free p ->
     let agg_ids = Ident.Set.of_list (List.map fst (snd (gb env))) in
     Ident.Set.is_empty (Ident.Set.inter (S.columns (pred env p)) agg_ids)
@@ -319,16 +323,26 @@ let degenerate_agg = function
   | Aggregate.CountStar -> S.int 1
   | Aggregate.Count _ | Aggregate.Avg _ -> raise Build_failed
 
+(* The node of a new operator over built children: [op] makes its
+   payload from the children's canonical reprs. *)
+let op1 op (c : H.node) = H.make (op c.H.repr) [| c |]
+let op2 op (a : H.node) (b : H.node) = H.make (op a.H.repr b.H.repr) [| a; b |]
+
 let rec build env = function
   | Var r -> rel env r
-  | Filter (e, t) -> L.Filter { pred = eval_pexp env e; child = build env t }
+  | Filter (e, t) ->
+    let pred = eval_pexp env e in
+    op1 (fun child -> L.Filter { pred; child }) (build env t)
   | Filter_nontrivial (e, t) ->
-    let p = eval_pexp env e in
+    let pred = eval_pexp env e in
     let child = build env t in
-    if S.equal p S.true_ then child else L.Filter { pred = p; child }
-  | Join (k, e, a, b) ->
-    L.Join { kind = k; pred = eval_pexp env e; left = build env a; right = build env b }
-  | Proj (d, t) -> L.Project { cols = eval_dexp env d; child = build env t }
+    if S.equal pred S.true_ then child else op1 (fun child -> L.Filter { pred; child }) child
+  | Join (kind, e, a, b) ->
+    let pred = eval_pexp env e in
+    op2 (fun left right -> L.Join { kind; pred; left; right }) (build env a) (build env b)
+  | Proj (d, t) ->
+    let cols = eval_dexp env d in
+    op1 (fun child -> L.Project { cols; child }) (build env t)
   | GroupBy (gk, t) ->
     let keys, aggs = gb env in
     let keys =
@@ -338,35 +352,38 @@ let rec build env = function
         keys @ List.map (fun (c : Props.col_info) -> c.id) (schema_exn env (rel env r))
       | Gkeys_within r -> keys_within env r
     in
-    L.GroupBy { keys; aggs; child = build env t }
+    op1 (fun child -> L.GroupBy { keys; aggs; child }) (build env t)
   | Degenerate t ->
     let keys, aggs = gb env in
     let cols =
       List.map (fun k -> (k, S.Col k)) keys
       @ List.map (fun (id, a) -> (id, degenerate_agg a)) aggs
     in
-    L.Project { cols; child = build env t }
-  | Sort (s, t) -> L.Sort { keys = List.assoc s env.sorts; child = build env t }
-  | Distinct t -> L.Distinct (build env t)
-  | UnionAll (a, b) -> L.UnionAll (build env a, build env b)
-  | Union (a, b) -> L.Union (build env a, build env b)
-  | Intersect (a, b) -> L.Intersect (build env a, build env b)
-  | Except (a, b) -> L.Except (build env a, build env b)
-  | Keep_schema t -> Rule.identity_project (schema_exn env env.root) (build env t)
+    op1 (fun child -> L.Project { cols; child }) (build env t)
+  | Sort (s, t) ->
+    let keys = List.assoc s env.sorts in
+    op1 (fun child -> L.Sort { keys; child }) (build env t)
+  | Distinct t -> op1 (fun c -> L.Distinct c) (build env t)
+  | UnionAll (a, b) -> op2 (fun l r -> L.UnionAll (l, r)) (build env a) (build env b)
+  | Union (a, b) -> op2 (fun l r -> L.Union (l, r)) (build env a) (build env b)
+  | Intersect (a, b) -> op2 (fun l r -> L.Intersect (l, r)) (build env a) (build env b)
+  | Except (a, b) -> op2 (fun l r -> L.Except (l, r)) (build env a) (build env b)
+  | Keep_schema t ->
+    op1 (Rule.identity_project (schema_exn env env.root)) (build env t)
 
-(* One application of the rule at the root of [tree]: matching, side
+(* One application of the rule at the root of [n]: matching, side
    checks, rhs construction. [None] when the rule does not fire. *)
-let image cat r tree =
+let image cat r (n : H.node) =
   let env =
-    { cat; root = tree; rels = []; preds = []; defs = []; sorts = []; gb = None }
+    { cat; root = n; rels = []; preds = []; defs = []; sorts = []; gb = None }
   in
-  match match_lhs env r.lhs tree with
+  match match_lhs env r.lhs n with
   | exception No_match -> None
   | () -> (
     match List.for_all (check_side env) r.sides with
     | exception Build_failed -> None
     | false -> None
-    | true -> ( match build env r.rhs with exception Build_failed -> None | t -> Some t))
+    | true -> ( match build env r.rhs with exception Build_failed -> None | n' -> Some n'))
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -463,8 +480,8 @@ let fingerprint r =
   Digest.to_hex (Digest.string ("rdsl\x00" ^ to_string r))
 
 let compile r =
-  Rule.make ~fingerprint:(fingerprint r) r.name (pattern r) (fun cat tree ->
-      match image cat r tree with Some t -> [ t ] | None -> [])
+  Rule.make ~fingerprint:(fingerprint r) r.name (pattern r) (fun cat n ->
+      match image cat r n with Some n' -> [ n' ] | None -> [])
 
 (* A machine-generated soundness note: which side-conditions carry the
    rule's soundness and which merely gate firing. *)

@@ -117,13 +117,16 @@ val rvars : rule -> rv list
 (** Sorted distinct relation metavariables of the lhs. *)
 
 val image :
-  Storage.Catalog.t -> rule -> Relalg.Logical.t -> Relalg.Logical.t option
-(** One application at the root: match the lhs, check the sides, build the
-    rhs. [None] when the rule does not fire. *)
+  Storage.Catalog.t -> rule -> Relalg.Hashcons.node -> Relalg.Hashcons.node option
+(** One application at the root: match the lhs down the node's kids
+    (binding every relation metavariable to a node), check the sides
+    (properties are read by node id), build the rhs over the bound nodes
+    (interning only the operators it creates). [None] when the rule does
+    not fire. *)
 
 val compile : rule -> Rule.t
 (** Compile to an engine rule. The compiled [apply] returns
-    [image cat r tree] as a singleton (or []); every registered rule is
+    [image cat r n] as a singleton (or []); every registered rule is
     built this way.
     The compiled rule's [fingerprint] is {!fingerprint}[ r], so editing
     any part of the definition (lhs, rhs, side conditions) changes the

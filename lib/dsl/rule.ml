@@ -3,7 +3,7 @@ open Relalg
 type t = {
   name : string;
   pattern : Pattern.t;
-  apply : Storage.Catalog.t -> Logical.t -> Logical.t list;
+  apply : Storage.Catalog.t -> Hashcons.node -> Hashcons.node list;
   fingerprint : string;
   pattern_fp : string;
 }
@@ -38,12 +38,12 @@ let record_matched names =
 
 let make ~fingerprint name pattern apply =
   let pattern_fp = Digest.to_hex (Digest.string ("pattern\x00" ^ Pattern.to_xml pattern)) in
-  let guarded cat tree =
-    if Pattern.matches pattern tree then begin
+  let guarded cat (n : Hashcons.node) =
+    if Pattern.matches pattern n.repr then begin
       (match !(Domain.DLS.get collector_key) with
       | Some tbl -> Hashtbl.replace tbl name ()
       | None -> ());
-      apply cat tree
+      apply cat n
     end
     else begin
       (* A rule whose [apply] would return substitutes on a root its own
@@ -51,7 +51,7 @@ let make ~fingerprint name pattern apply =
          pattern first) silently never fires it. Probe only when metrics
          are on so the hot path keeps its single-branch cost. *)
       if Obs.Metrics.enabled () then
-        (match apply cat tree with
+        (match apply cat n with
         | exception _ -> ()
         | [] -> ()
         | _ :: _ ->

@@ -1,7 +1,9 @@
 (** Transformation rules: (name, pattern, substitution) triples (§3.1).
 
-    [apply] is the substitution function: given a tree whose root matches
-    [pattern], it returns zero or more equivalent trees. Returning [] means
+    [apply] is the substitution function: given an interned tree whose
+    root matches [pattern], it returns zero or more equivalent interned
+    trees. Outputs are canonical nodes of the calling domain's
+    hash-cons table, built over the input's own subtrees. Returning [] means
     the rule's preconditions (beyond the pattern) did not hold — the
     pattern is necessary, not sufficient. A rule is {e exercised} when
     [apply] returns at least one substitute. *)
@@ -9,7 +11,7 @@
 type t = {
   name : string;
   pattern : Pattern.t;
-  apply : Storage.Catalog.t -> Relalg.Logical.t -> Relalg.Logical.t list;
+  apply : Storage.Catalog.t -> Relalg.Hashcons.node -> Relalg.Hashcons.node list;
   fingerprint : string;
       (** Content digest identifying this rule's {e behaviour}, not just
           its name, as stated by the code constructing the rule ({!make}'s
@@ -28,7 +30,7 @@ val make :
   fingerprint:string ->
   string ->
   Pattern.t ->
-  (Storage.Catalog.t -> Relalg.Logical.t -> Relalg.Logical.t list) ->
+  (Storage.Catalog.t -> Relalg.Hashcons.node -> Relalg.Hashcons.node list) ->
   t
 (** Wraps [apply] with the pattern check: the returned rule's [apply] is a
     no-op on trees whose root does not match [pattern]. When metrics are

@@ -39,48 +39,36 @@ let instrument_rule (r : Rule.t) =
     rewritten = Obs.Metrics.counter ~label:r.name "optimizer.rule.rewrites";
     match_ns = Obs.Metrics.histogram ~label:r.name "optimizer.rule.match_ns" }
 
-let apply_rule catalog (ir : instrumented_rule) t =
+let apply_rule catalog (ir : instrumented_rule) n =
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr ir.attempts;
     let t0 = Obs.Clock.now_ns () in
-    let out = ir.rule.apply catalog t in
+    let out = ir.rule.apply catalog n in
     Obs.Metrics.observe ir.match_ns (Obs.Clock.ns_between t0 (Obs.Clock.now_ns ()));
     (match out with [] -> () | l -> Obs.Metrics.add ir.rewritten (List.length l));
     out
   end
-  else ir.rule.apply catalog t
-
-(* Logical children have arity <= 2. *)
-let replace_child kids i kid' =
-  match (kids, i) with
-  | [ _ ], 0 -> [ kid' ]
-  | [ _; b ], 0 -> [ kid'; b ]
-  | [ a; _ ], 1 -> [ a; kid' ]
-  | _ -> invalid_arg "Engine.replace_child"
+  else ir.rule.apply catalog n
 
 (* All (rule name, rewritten whole tree) pairs obtained by applying a
-   rule at any node of [t], recomputed from scratch for every containing
+   rule at any node of [n], recomputed from scratch for every containing
    tree — the seed engine's behaviour, kept behind [Reference.optimize] as
    the reference implementation for equivalence tests and before/after
    benchmarks. Enumeration order (root rewrites in registry order, then
    children left to right) is part of the engine's observable behaviour
    under a tree budget and must match [node_rewrites] below. *)
-let rewrites_unmemoized catalog rules (t : L.t) : (string * L.t) list =
+let rewrites_unmemoized catalog rules (n : H.node) : (string * H.node) list =
   let acc = ref [] in
-  let rec go wrap t =
+  let rec go wrap (n : H.node) =
     List.iter
       (fun ir ->
         List.iter
-          (fun t' -> acc := (ir.rule.name, wrap t') :: !acc)
-          (apply_rule catalog ir t))
+          (fun n' -> acc := (ir.rule.name, wrap n') :: !acc)
+          (apply_rule catalog ir n))
       rules;
-    let kids = L.children t in
-    List.iteri
-      (fun i kid ->
-        go (fun kid' -> wrap (L.with_children t (replace_child kids i kid'))) kid)
-      kids
+    Array.iteri (fun i kid -> go (fun kid' -> wrap (H.rebuild n i kid')) kid) n.H.kids
   in
-  go Fun.id t;
+  go Fun.id n;
   List.rev !acc
 
 type exploration = {
@@ -276,10 +264,8 @@ let root_entry rw (n : H.node) =
       Rule.collect_matched @@ fun () ->
       List.fold_left
         (fun (acc, raised) ir ->
-          match apply_rule rw.rw_catalog ir n.H.repr with
-          | out ->
-            ( List.fold_left (fun acc t' -> (ir.rule.name, H.intern t') :: acc) acc out,
-              raised )
+          match apply_rule rw.rw_catalog ir n with
+          | out -> (List.fold_left (fun acc n' -> (ir.rule.name, n') :: acc) acc out, raised)
           | exception e -> (acc, (ir.rule.name, e) :: raised))
         ([], []) (Lazy.force rw.rw_rules)
     in
@@ -362,8 +348,7 @@ let finish_rewriter rw =
 (* The production exploration: the previous closure when the call is
    identical to the one that built it, else a fresh closure over the
    memo. Either way the call is accounted as one exploration. *)
-let explore_memo ~options ~rules catalog t0 =
-  let n0 = H.intern t0 in
+let explore_memo ~options ~rules catalog (n0 : H.node) =
   let m = memo_for catalog rules in
   let x =
     match m.last with
@@ -410,7 +395,6 @@ type planner = {
   est : Card.t;
   cache : (int, (Physical.t * float) option) Hashtbl.t;
       (* hashcons id -> best plan *)
-  oid_cache : (int, Ident.Set.t) Hashtbl.t;  (* hashcons id -> output idents *)
   impl_disabled : SSet.t;
   mutable impl_exercised : SSet.t;
   memo_hits : Obs.Metrics.counter;
@@ -419,18 +403,10 @@ type planner = {
 
 let log2 x = Float.max 1.0 (Float.log (x +. 2.0) /. Float.log 2.0)
 
-let output_idents p (n : H.node) =
-  match Hashtbl.find_opt p.oid_cache n.H.id with
-  | Some s -> s
-  | None ->
-    let s = Props.output_idents p.catalog n.H.repr in
-    Hashtbl.replace p.oid_cache n.H.id s;
-    s
-
 (* Paired equi-join keys and the residual predicate. *)
 let equi_keys p pred left right =
-  let lids = output_idents p left in
-  let rids = output_idents p right in
+  let lids = Props.Node.output_idents p.catalog left in
+  let rids = Props.Node.output_idents p.catalog right in
   let keys, residual =
     List.fold_left
       (fun (keys, residual) conjunct ->
@@ -638,7 +614,6 @@ let make_planner catalog options =
   { catalog;
     est = Card.create catalog;
     cache = Hashtbl.create 1024;
-    oid_cache = Hashtbl.create 1024;
     impl_disabled = options.disabled;
     impl_exercised = SSet.empty;
     memo_hits = Obs.Metrics.counter "optimizer.memo.hits";
@@ -646,13 +621,14 @@ let make_planner catalog options =
 
 let optimize_with ~explore ?(options = default_options) ?(rules = Rules.all) catalog
     t0 =
-  match Props.validate catalog t0 with
+  let n0 = H.intern t0 in
+  match Props.Node.validate catalog n0 with
   | Error e -> Error ("invalid input tree: " ^ e)
   | Ok () ->
     let exploration =
       Obs.Trace.with_span "engine.explore"
         ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
-        (fun () -> explore ~options ~rules catalog t0)
+        (fun () -> explore ~options ~rules catalog n0)
     in
     let planner = make_planner catalog options in
     let best =
@@ -685,19 +661,14 @@ let optimize_with ~explore ?(options = default_options) ?(rules = Rules.all) cat
    pass, fed by [rewrites_unmemoized] instead of the memo replay, and
    neither reading nor filling the cross-call memo. *)
 module Reference = struct
-  let explore ~options ~rules catalog t0 =
+  let explore ~options ~rules catalog n0 =
     let enabled =
       List.filter_map
         (fun (r : Rule.t) ->
           if SSet.mem r.name options.disabled then None else Some (instrument_rule r))
         rules
     in
-    let rewrites (n : H.node) =
-      List.map
-        (fun (name, t') -> (name, H.intern t'))
-        (rewrites_unmemoized catalog enabled n.H.repr)
-    in
-    let x = explore ~rewrites ~options (H.intern t0) in
+    let x = explore ~rewrites:(rewrites_unmemoized catalog enabled) ~options n0 in
     account x ~max_trees:options.max_trees;
     x
 
@@ -712,13 +683,14 @@ let optimize ?options ?rules catalog t0 =
   optimize_with ~explore:explore_memo ?options ?rules catalog t0
 
 let ruleset ?(options = default_options) ?(rules = Rules.all) catalog t0 =
-  match Props.validate catalog t0 with
+  let n0 = H.intern t0 in
+  match Props.Node.validate catalog n0 with
   | Error e -> Error ("invalid input tree: " ^ e)
   | Ok () ->
     let exploration =
       Obs.Trace.with_span "engine.explore"
         ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
-        (fun () -> explore_memo ~options ~rules catalog t0)
+        (fun () -> explore_memo ~options ~rules catalog n0)
     in
     Ok exploration.logical_exercised
 
@@ -762,14 +734,14 @@ type shared = {
 }
 
 let explore_shared ?(options = default_options) ?(rules = Rules.all) catalog t0 =
-  match Props.validate catalog t0 with
+  let n0 = H.intern t0 in
+  match Props.Node.validate catalog n0 with
   | Error e -> Error ("invalid input tree: " ^ e)
   | Ok () ->
     Obs.Metrics.incr (Obs.Metrics.counter "optimizer.shared.explorations");
     Obs.Trace.with_span "engine.explore_shared"
       ~args:[ ("max_trees", Obs.Json.Int options.max_trees) ]
     @@ fun () ->
-    let n0 = H.intern t0 in
     let rw = make_rewriter (memo_for catalog rules) catalog options rules in
     let tally = Hashtbl.create 16 in
     let max_size = n0.H.nsize + options.max_growth in

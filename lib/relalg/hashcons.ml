@@ -22,6 +22,7 @@ type node = {
   repr : L.t;  (** canonical tree: children are canonical reprs *)
   id : int;
   nsize : int;  (** = [Logical.size repr], cached *)
+  phash : int;  (** = [Logical.payload_hash repr], cached *)
   skey : int;  (** payload hash mixed with the children's ids *)
   kids : node array;
 }
@@ -93,11 +94,9 @@ let fresh_id st =
   st.next_id <- id + 1;
   id
 
-let node_of st (payload : L.t) (kids : node array) : node =
-  let skey =
-    Array.fold_left (fun h k -> Scalar.hash_combine h k.id) (L.payload_hash payload) kids
-  in
-  let probe = { repr = payload; id = -1; nsize = 0; skey; kids } in
+let node_of st ~phash (payload : L.t) (kids : node array) : node =
+  let skey = Array.fold_left (fun h k -> Scalar.hash_combine h k.id) phash kids in
+  let probe = { repr = payload; id = -1; nsize = 0; phash; skey; kids } in
   match Tbl.find_opt st.table probe with
   | Some n ->
     st.hit_count <- st.hit_count + 1;
@@ -112,16 +111,17 @@ let node_of st (payload : L.t) (kids : node array) : node =
       else L.with_children payload canonical_kids
     in
     let nsize = Array.fold_left (fun s k -> s + k.nsize) 1 kids in
-    let n = { repr; id = fresh_id st; nsize; skey; kids } in
+    let n = { repr; id = fresh_id st; nsize; phash; skey; kids } in
     Tbl.replace st.table n n;
     n
+
+let make (payload : L.t) (kids : node array) : node =
+  node_of (state ()) ~phash:(L.payload_hash payload) payload kids
 
 let intern (t : L.t) : node =
   let st = state () in
   let rec go t =
-    match L.children t with
-    | [] -> node_of st t [||]
-    | kids -> node_of st t (Array.of_list (List.map go kids))
+    node_of st ~phash:(L.payload_hash t) t (Array.of_list (List.map go (L.children t)))
   in
   go t
 
@@ -132,7 +132,7 @@ let rebuild (n : node) i (kid : node) : node =
   else begin
     let kids = Array.copy n.kids in
     kids.(i) <- kid;
-    node_of (state ()) n.repr kids
+    node_of (state ()) ~phash:n.phash n.repr kids
   end
 
 let repr n = n.repr
@@ -161,8 +161,9 @@ let occupancy () =
     longest_chain = s.Hashtbl.max_bucket_length }
 
 (* Run by [clear] on the calling domain: caches holding this domain's
-   nodes (the engine's rewrite memo) register here at module
-   initialisation so they are dropped together with the table. *)
+   nodes or keyed on their ids (the engine's rewrite memo, the property
+   memo) register here at module initialisation so they are dropped
+   together with the table. *)
 let clear_hooks : (unit -> unit) list ref = ref []
 let on_clear f = clear_hooks := f :: !clear_hooks
 

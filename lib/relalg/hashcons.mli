@@ -5,7 +5,7 @@
     subtree is assigned a unique id and canonicalized so equal subtrees
     are physically shared. All the optimizer's hot tables (the closure's
     seen set, the rewrite memo, the planner cache, cardinality and
-    property memos) key on {!id} — one int compare — instead of deep
+    the logical-property memo) key on {!id} — one int compare — instead of deep
     structural hashing.
 
     The interning table is {e domain-local} ([Domain.DLS]): each domain
@@ -34,6 +34,7 @@ type node = private {
       (** the canonical tree; children are themselves canonical reprs *)
   id : int;  (** unique per structurally distinct tree, never reused *)
   nsize : int;  (** cached [Logical.size repr] *)
+  phash : int;  (** cached [Logical.payload_hash repr] *)
   skey : int;
       (** shallow key: the payload's hash mixed with the children's ids —
           the interning table's hash *)
@@ -45,10 +46,18 @@ val intern : Logical.t -> node
     re-interning; trees that share subtrees physically share the
     interning work of those subtrees' canonical forms. *)
 
+val make : Logical.t -> node array -> node
+(** [make payload kids] is the node of the operator [payload] over the
+    canonical children [kids]: the payload's own children are ignored
+    (pass the kids' reprs to avoid a reallocation). O(payload), not
+    O(size) — how rules build their outputs over the nodes they matched,
+    interning only the operators they create. *)
+
 val rebuild : node -> int -> node -> node
 (** [rebuild n i kid] is the node for [n.repr] with child [i] replaced by
-    [kid] — O(payload), not O(size); this is how the engine re-wraps
-    memoized child rewrites. Raises [Invalid_argument] on a bad index. *)
+    [kid] — O(1) in the tree size, and the payload is not re-hashed; this
+    is how the engine re-wraps memoized child rewrites. Raises
+    [Invalid_argument] on a bad index. *)
 
 val repr : node -> Logical.t
 val id : node -> int

@@ -1,51 +1,50 @@
 open Storage
+module H = Hashcons
 
 type col_info = { id : Ident.t; ty : Datatype.t; nullable : bool }
 
 let ( let* ) = Result.bind
 
-(* Derived properties are recomputed millions of times during rule
-   exploration; memoize per subtree. Tables use [Logical.Tbl] — the full
-   structural hash — so lookups cannot degenerate into linear collision
-   scans the way polymorphic [Hashtbl.hash]'s truncated traversal did on
-   realistic tree sizes. Caches are keyed on the catalog's physical
-   identity and flushed when a different catalog shows up. They are
-   domain-local ([Domain.DLS]) so parallel workers memoize without
-   synchronization — same values on every domain, just computed once per
-   domain instead of once per process. *)
-type caches = {
-  mutable owner : Catalog.t option;
-  schema_cache : (col_info list, string) result Logical.Tbl.t;
-  keys_cache : Ident.Set.t list Logical.Tbl.t;
+(* Derived properties are asked for millions of times during rule
+   exploration, mostly of subtrees the engine has already interned. They
+   are memoized per hash-cons node, keyed by its id, and each node's
+   entry is derived one operator at a time from its kids' entries: a
+   lookup hashes one int, and a miss costs one payload, never a walk of
+   the subtree. An entry holds the schema (every other property needs
+   it) and, filled on first use, the candidate keys. Output idents are
+   rebuilt from the memoized schema on each call: a stored set per node
+   raised peak memory more than rebuilding costs. The memo is per catalog — compared physically, flushed when another
+   one shows up — and domain-local ([Domain.DLS]), so parallel workers
+   memoize without synchronization. Ids are never reused, so an entry
+   cannot outlive its node's meaning; [Hashcons.clear] drops the memo
+   anyway, to free it with the nodes. *)
+type entry = {
+  schema : (col_info list, string) result;
+  mutable keys : Ident.Set.t list option;
 }
 
-let caches_key =
-  Domain.DLS.new_key (fun () ->
-      { owner = None;
-        schema_cache = Logical.Tbl.create 4096;
-        keys_cache = Logical.Tbl.create 4096 })
+module Itbl = Hashtbl.Make (Int)
+
+type memo = { mutable owner : Catalog.t option; table : entry Itbl.t }
+
+let memo_key = Domain.DLS.new_key (fun () -> { owner = None; table = Itbl.create 4096 })
 
 let clear () =
-  let cs = Domain.DLS.get caches_key in
-  cs.owner <- None;
-  Logical.Tbl.reset cs.schema_cache;
-  Logical.Tbl.reset cs.keys_cache
+  let m = Domain.DLS.get memo_key in
+  m.owner <- None;
+  Itbl.reset m.table
 
-let with_cache cat select compute t =
-  let cs = Domain.DLS.get caches_key in
-  let flush = match cs.owner with Some c -> not (c == cat) | None -> true in
-  if flush then begin
-    Logical.Tbl.reset cs.schema_cache;
-    Logical.Tbl.reset cs.keys_cache;
-    cs.owner <- Some cat
-  end;
-  let cache = select cs in
-  match Logical.Tbl.find_opt cache t with
-  | Some r -> r
-  | None ->
-    let r = compute t in
-    Logical.Tbl.replace cache t r;
-    r
+let () = H.on_clear clear
+let memo_entries () = Itbl.length (Domain.DLS.get memo_key).table
+
+let table_for cat =
+  let m = Domain.DLS.get memo_key in
+  (match m.owner with
+  | Some c when c == cat -> ()
+  | _ ->
+    Itbl.reset m.table;
+    m.owner <- Some cat);
+  m.table
 
 let env_of cols : Scalar.env =
  fun id ->
@@ -57,11 +56,19 @@ let distinct_idents ids =
   let sorted = List.sort_uniq Ident.compare ids in
   List.length sorted = List.length ids
 
-let rec schema cat (t : Logical.t) : (col_info list, string) result =
-  with_cache cat (fun cs -> cs.schema_cache) (schema_uncached cat) t
+(* The entry of [n], its kids' first. *)
+let rec entry tbl cat (n : H.node) =
+  match Itbl.find_opt tbl n.H.id with
+  | Some e -> e
+  | None ->
+    let e = { schema = schema_here tbl cat n; keys = None } in
+    Itbl.replace tbl n.H.id e;
+    e
 
-and schema_uncached cat (t : Logical.t) : (col_info list, string) result =
-  match t with
+(* The schema of [n]'s root operator, from its kids' memoized schemas. *)
+and schema_here tbl cat (n : H.node) : (col_info list, string) result =
+  let kid i = (entry tbl cat n.H.kids.(i)).schema in
+  match n.H.repr with
   | Get { table; alias } -> (
     match Catalog.find cat table with
     | None -> Error ("unknown table " ^ table)
@@ -73,13 +80,13 @@ and schema_uncached cat (t : Logical.t) : (col_info list, string) result =
                ty = c.col_type;
                nullable = c.nullable })
            tb.schema.columns))
-  | Filter { pred; child } ->
-    let* cols = schema cat child in
+  | Filter { pred; _ } ->
+    let* cols = kid 0 in
     let* ty = Scalar.type_of (env_of cols) pred in
     if Datatype.equal ty TBool then Ok cols
     else Error "Filter predicate is not boolean"
-  | Project { cols = items; child } ->
-    let* cols = schema cat child in
+  | Project { cols = items; _ } ->
+    let* cols = kid 0 in
     let env = env_of cols in
     if not (distinct_idents (List.map fst items)) then
       Error "Project: duplicate output columns"
@@ -99,9 +106,9 @@ and schema_uncached cat (t : Logical.t) : (col_info list, string) result =
           Ok ({ id; ty; nullable } :: tail)
       in
       build items
-  | Join { kind; pred; left; right } -> (
-    let* lc = schema cat left in
-    let* rc = schema cat right in
+  | Join { kind; pred; _ } -> (
+    let* lc = kid 0 in
+    let* rc = kid 1 in
     let both = lc @ rc in
     if not (distinct_idents (List.map (fun c -> c.id) both)) then
       Error "Join: overlapping column identifiers"
@@ -125,8 +132,8 @@ and schema_uncached cat (t : Logical.t) : (col_info list, string) result =
           | RightOuter -> Ok (nullable_all lc @ rc)
           | FullOuter -> Ok (nullable_all lc @ nullable_all rc)
           | Semi | AntiSemi -> Ok lc)
-  | GroupBy { keys; aggs; child } ->
-    let* cols = schema cat child in
+  | GroupBy { keys; aggs; _ } ->
+    let* cols = kid 0 in
     let env = env_of cols in
     let find_key k =
       match List.find_opt (fun c -> Ident.equal c.id k) cols with
@@ -159,9 +166,9 @@ and schema_uncached cat (t : Logical.t) : (col_info list, string) result =
     else if not (distinct_idents (List.map (fun c -> c.id) out)) then
       Error "GroupBy: duplicate output columns"
     else Ok out
-  | UnionAll (a, b) | Union (a, b) | Intersect (a, b) | Except (a, b) ->
-    let* ac = schema cat a in
-    let* bc = schema cat b in
+  | UnionAll _ | Union _ | Intersect _ | Except _ ->
+    let* ac = kid 0 in
+    let* bc = kid 1 in
     if List.length ac <> List.length bc then
       Error "set operation: children have different arities"
     else
@@ -174,22 +181,17 @@ and schema_uncached cat (t : Logical.t) : (col_info list, string) result =
           (List.map2
              (fun x y -> { x with nullable = x.nullable || y.nullable })
              ac bc)
-  | Distinct child -> schema cat child
-  | Sort { keys; child } ->
-    let* cols = schema cat child in
+  | Distinct _ -> kid 0
+  | Sort { keys; _ } ->
+    let* cols = kid 0 in
     let ids = Ident.Set.of_list (List.map (fun c -> c.id) cols) in
     if List.for_all (fun (k, _) -> Ident.Set.mem k ids) keys then Ok cols
     else Error "Sort key not in child output"
-  | Limit { count; child } ->
-    if count < 0 then Error "Limit: negative count" else schema cat child
+  | Limit { count; _ } ->
+    if count < 0 then Error "Limit: negative count" else kid 0
 
-let schema_exn cat t =
-  match schema cat t with
-  | Ok cols -> cols
-  | Error msg -> invalid_arg ("Props.schema_exn: " ^ msg)
-
-let output_idents cat t =
-  match schema cat t with
+let oids_of tbl cat n =
+  match (entry tbl cat n).schema with
   | Ok cols -> Ident.Set.of_list (List.map (fun c -> c.id) cols)
   | Error _ -> Ident.Set.empty
 
@@ -207,11 +209,21 @@ let equi_join_columns pred left right =
     (Ident.Set.empty, Ident.Set.empty)
     (Scalar.conjuncts pred)
 
-let rec keys cat (t : Logical.t) : Ident.Set.t list =
-  with_cache cat (fun cs -> cs.keys_cache) (keys_uncached cat) t
+let rec keys_of tbl cat n =
+  let e = entry tbl cat n in
+  match e.keys with
+  | Some k -> k
+  | None ->
+    let k = keys_here tbl cat n in
+    e.keys <- Some k;
+    k
 
-and keys_uncached cat (t : Logical.t) : Ident.Set.t list =
-  match t with
+(* The candidate keys of [n]'s root operator, from its kids' memoized
+   keys and output idents. *)
+and keys_here tbl cat (n : H.node) : Ident.Set.t list =
+  let kid_keys i = keys_of tbl cat n.H.kids.(i) in
+  let kid_oids i = oids_of tbl cat n.H.kids.(i) in
+  match n.H.repr with
   | Get { table; alias } -> (
     match Catalog.find cat table with
     | None -> []
@@ -219,8 +231,8 @@ and keys_uncached cat (t : Logical.t) : Ident.Set.t list =
       List.map
         (fun key -> Ident.Set.of_list (List.map (Ident.make alias) key))
         (Schema.keys tb.schema))
-  | Filter { child; _ } | Sort { child; _ } | Limit { child; _ } -> keys cat child
-  | Project { cols; child } ->
+  | Filter _ | Sort _ | Limit _ -> kid_keys 0
+  | Project { cols; _ } ->
     (* A child key survives when each of its columns is exported verbatim. *)
     let exports =
       List.filter_map
@@ -228,24 +240,20 @@ and keys_uncached cat (t : Logical.t) : Ident.Set.t list =
         cols
     in
     let translate key =
-      let translated =
-        Ident.Set.fold
-          (fun k acc ->
-            match acc with
-            | None -> None
-            | Some s -> (
-              match List.find_opt (fun (c, _) -> Ident.equal c k) exports with
-              | Some (_, out) -> Some (Ident.Set.add out s)
-              | None -> None))
-          key (Some Ident.Set.empty)
-      in
-      translated
+      Ident.Set.fold
+        (fun k acc ->
+          match acc with
+          | None -> None
+          | Some s -> (
+            match List.find_opt (fun (c, _) -> Ident.equal c k) exports with
+            | Some (_, out) -> Some (Ident.Set.add out s)
+            | None -> None))
+        key (Some Ident.Set.empty)
     in
-    List.filter_map translate (keys cat child)
-  | Join { kind; pred; left; right } -> (
-    let lk = keys cat left and rk = keys cat right in
-    let lids = output_idents cat left and rids = output_idents cat right in
-    let lcols, rcols = equi_join_columns pred lids rids in
+    List.filter_map translate (kid_keys 0)
+  | Join { kind; pred; _ } -> (
+    let lk = kid_keys 0 and rk = kid_keys 1 in
+    let lcols, rcols = equi_join_columns pred (kid_oids 0) (kid_oids 1) in
     let right_on_key = List.exists (fun k -> Ident.Set.subset k rcols) rk in
     let left_on_key = List.exists (fun k -> Ident.Set.subset k lcols) lk in
     let combined =
@@ -261,23 +269,40 @@ and keys_uncached cat (t : Logical.t) : Ident.Set.t list =
     | LeftOuter -> (if right_on_key then lk else []) @ combined
     | RightOuter -> (if left_on_key then rk else []) @ combined
     | FullOuter -> [])
-  | GroupBy { keys = gks; aggs = _; child = _ } -> [ Ident.Set.of_list gks ]
-  | Distinct child -> [ output_idents cat child ]
+  | GroupBy { keys = gks; _ } -> [ Ident.Set.of_list gks ]
+  | Distinct _ -> [ kid_oids 0 ]
   | Union _ | Intersect _ | Except _ ->
     (* Set semantics: the full column list is a key. *)
-    [ output_idents cat t ]
+    [ oids_of tbl cat n ]
   | UnionAll _ -> []
 
-let has_key_within cat t cols =
-  List.exists (fun k -> Ident.Set.subset k cols) (keys cat t)
+module Node = struct
+  let schema cat n = (entry (table_for cat) cat n).schema
+  let output_idents cat n = oids_of (table_for cat) cat n
+  let keys cat n = keys_of (table_for cat) cat n
 
-let validate cat t =
-  (* [schema] already walks the whole tree and checks scoping/typing;
-     additionally require globally unique Get aliases. *)
-  let aliases = Logical.aliases t in
-  let sorted = List.sort_uniq String.compare aliases in
-  if List.length sorted <> List.length aliases then
-    Error "duplicate relation aliases"
-  else
-    let* _ = schema cat t in
-    Ok ()
+  let has_key_within cat n cols =
+    List.exists (fun k -> Ident.Set.subset k cols) (keys cat n)
+
+  let validate cat (n : H.node) =
+    (* [schema] already checks scoping and typing of every operator;
+       additionally require globally unique Get aliases. *)
+    let aliases = Logical.aliases n.H.repr in
+    if List.length (List.sort_uniq String.compare aliases) <> List.length aliases then
+      Error "duplicate relation aliases"
+    else
+      let* _ = schema cat n in
+      Ok ()
+end
+
+let schema cat t = Node.schema cat (H.intern t)
+
+let schema_exn cat t =
+  match schema cat t with
+  | Ok cols -> cols
+  | Error msg -> invalid_arg ("Props.schema_exn: " ^ msg)
+
+let output_idents cat t = Node.output_idents cat (H.intern t)
+let keys cat t = Node.keys cat (H.intern t)
+let has_key_within cat t cols = Node.has_key_within cat (H.intern t) cols
+let validate cat t = Node.validate cat (H.intern t)

@@ -11,11 +11,35 @@ type col_info = {
   nullable : bool;
 }
 
+(** {2 The property memo}
+
+    Properties are memoized per {!Hashcons.node}, keyed by its id, in
+    one domain-local table; each node's entry is derived from its kids'
+    entries, one operator at a time. The table serves one catalog at a
+    time (compared physically) and is flushed when another shows up. *)
+
 val clear : unit -> unit
-(** Drop the calling domain's schema/keys memo tables. The caches flush
-    themselves when the catalog changes; [clear] is for long-lived
-    processes (benchmarks, tests) that want to release the retained
-    trees between phases. *)
+(** Drop the calling domain's property memo. {!Hashcons.clear} does it
+    too. The memo flushes itself when the catalog changes; [clear] is
+    for long-lived processes (benchmarks, tests) that want to release it
+    between phases. *)
+
+val memo_entries : unit -> int
+(** Nodes with a memoized entry, in the calling domain's table. *)
+
+(** Properties of interned trees: the hot path of rule side-conditions
+    and the planner, read from the memo by node id. *)
+module Node : sig
+  val schema : Storage.Catalog.t -> Hashcons.node -> (col_info list, string) result
+  val output_idents : Storage.Catalog.t -> Hashcons.node -> Ident.Set.t
+  val keys : Storage.Catalog.t -> Hashcons.node -> Ident.Set.t list
+  val has_key_within : Storage.Catalog.t -> Hashcons.node -> Ident.Set.t -> bool
+  val validate : Storage.Catalog.t -> Hashcons.node -> (unit, string) result
+end
+
+(** {2 Properties of trees}
+
+    Each interns the tree, then reads the memo through {!Node}. *)
 
 val schema :
   Storage.Catalog.t -> Logical.t -> (col_info list, string) result

@@ -170,6 +170,41 @@ let test_stale_matrix_on_rule_edit () =
   check int_t "edited body serves nothing stale" 0 (C.warm_served_edges ec3);
   check int_t "edited body recomputes everything" (nt * nq) (C.computed_edges ec3)
 
+(* One compress run solves four algorithms over one shared service. Each
+   [solve] may spill the matrix: the first always does, a later one only
+   after newly computed cells. In the order `qtr compress` computes them
+   (TOPK first, filling every covering edge) the run stores once; an
+   algorithm that adds cells after a store stores again. *)
+let test_matrix_stored_once () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let stores f =
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "qtr-test-stores-%d-%d" (Unix.getpid ()) (Random.bits ()))
+    in
+    let dc = Storage.Diskcache.create ~dir () in
+    let before = Obs.Metrics.counter_total "compress.matrix.stores" in
+    f (C.edge_costs ~disk:dc fw suite6);
+    check bool_t "the matrix is spilled" true (Storage.Diskcache.entries dc ~ns:"matrix" > 0);
+    Obs.Metrics.counter_total "compress.matrix.stores" - before
+  in
+  let run_order ec =
+    ignore (C.topk ~ec fw suite6);
+    ignore (C.topk ~exploit_monotonicity:true ~ec fw suite6);
+    ignore (C.baseline ~ec fw suite6);
+    ignore (C.smc ~ec fw suite6)
+  in
+  let once = stores run_order in
+  let growing =
+    stores (fun ec ->
+        ignore (C.baseline ~ec fw suite6);
+        ignore (C.topk ~ec fw suite6))
+  in
+  Obs.Metrics.set_enabled was;
+  check int_t "four algorithms, one store" 1 once;
+  check int_t "new cells after a store store again" 2 growing
+
 let test_baseline () =
   check bool_t "covers" true
     (List.for_all
@@ -421,6 +456,7 @@ let suite =
           test_warm_matrix_identical;
         Alcotest.test_case "stale matrix on rule edit" `Slow
           test_stale_matrix_on_rule_edit;
+        Alcotest.test_case "matrix stored once per run" `Slow test_matrix_stored_once;
         Alcotest.test_case "compression beats baseline" `Slow
           test_compression_beats_baseline ] );
     ("core.matching", [ Alcotest.test_case "exact no-sharing variant" `Slow test_matching ]);

@@ -9,6 +9,7 @@ module Su = Core.Suite
 module C = Core.Compress
 module R = Dsl.Rdsl
 module L = Relalg.Logical
+module H = Relalg.Hashcons
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -62,13 +63,14 @@ let test_golden_substitutes () =
           Buffer.add_char buf '\n';
           List.iter
             (fun (r : Optimizer.Rule.t) ->
-              match r.apply micro node with
+              match r.apply micro (H.intern node) with
               | [] -> ()
               | subs ->
                 Hashtbl.replace fired r.name ();
                 Buffer.add_string buf r.name;
                 List.iter
-                  (fun s -> Buffer.add_string buf (Marshal.to_string s [ Marshal.No_sharing ]))
+                  (fun (s : H.node) ->
+                    Buffer.add_string buf (Marshal.to_string s.repr [ Marshal.No_sharing ]))
                   subs)
             Optimizer.Rules.all)
         () t)
@@ -85,10 +87,11 @@ let prop_compiled_is_image =
   QCheck.Test.make ~name:"compiled rules return their one-step image" ~count:100 seed_arb
     (fun seed ->
       let t = random_tree micro seed in
+      let n = H.intern t in
       List.for_all
         (fun ((_, d) : string * R.rule) ->
-          let image = match R.image micro d t with Some t' -> [ t' ] | None -> [] in
-          (R.compile d).apply micro t = image
+          let image = match R.image micro d n with Some n' -> [ n' ] | None -> [] in
+          List.equal ( == ) ((R.compile d).apply micro n) image
           || QCheck.Test.fail_reportf "%s: compiled <> image on\n%s" d.name (L.to_string t))
         Optimizer.Rules.dsl_rules)
 
@@ -246,6 +249,47 @@ let test_faults_refuted_and_caught () =
         (differential_catches victim buggy))
     Core.Faults.names
 
+(* Rules build their outputs over the nodes they matched, interning only
+   the operators they create: every node [apply] returns must be the
+   canonical node of its tree, for every registered rule and every
+   seeded fault, at every subtree of random trees and of instantiations
+   of each rule's own pattern. *)
+let test_outputs_canonical () =
+  let rules =
+    Optimizer.Rules.all @ List.map (fun name -> R.compile (Core.Faults.term name)) Core.Faults.names
+  in
+  let trees =
+    List.init 60 (random_tree micro)
+    @ List.concat_map
+        (fun (r : Optimizer.Rule.t) ->
+          List.filter_map
+            (fun seed ->
+              Core.Query_gen.instantiate
+                { Core.Arggen.g = Storage.Prng.create seed; cat = micro }
+                r.pattern)
+            (List.init 4 Fun.id))
+        rules
+  in
+  let outputs = ref 0 in
+  List.iter
+    (fun t ->
+      L.fold
+        (fun () sub ->
+          let n = H.intern sub in
+          List.iter
+            (fun (r : Optimizer.Rule.t) ->
+              List.iter
+                (fun (n' : H.node) ->
+                  incr outputs;
+                  if not (n' == H.intern n'.repr) then
+                    Alcotest.failf "%s returned a non-canonical node on\n%s" r.name
+                      (L.to_string sub))
+                (r.apply micro n))
+            rules)
+        () t)
+    trees;
+  check bool_t "rules fired" true (!outputs > 100)
+
 (* dune runtest fails if any registered rule would fire on a root its own
    pattern rejects (satellite: the [Rule.make] mismatch probe). Deltas,
    not absolutes, so this test composes with the other metrics tests. *)
@@ -257,7 +301,7 @@ let test_pattern_mismatch_gate () =
   for seed = 0 to 40 do
     let t = random_tree micro seed in
     List.iter
-      (fun (r : Optimizer.Rule.t) -> ignore (r.apply micro t))
+      (fun (r : Optimizer.Rule.t) -> ignore (r.apply micro (H.intern t)))
       Optimizer.Rules.all
   done;
   check int_t "no registered rule trips the pattern-mismatch probe" before
@@ -267,9 +311,9 @@ let test_pattern_mismatch_gate () =
   let bad =
     Optimizer.Rule.make ~fingerprint:"TestDslBadProbeControl" "TestDslBadProbeControl"
       (Dsl.Pattern.Op (L.KDistinct, [ Dsl.Pattern.Any ]))
-      (fun _ t -> [ t ])
+      (fun _ n -> [ n ])
   in
-  ignore (bad.apply micro (random_tree micro 1));
+  ignore (bad.apply micro (H.intern (random_tree micro 1)));
   check bool_t "probe trips on a mis-declared rule" true
     (Obs.Metrics.counter_total ~label:"TestDslBadProbeControl"
        "optimizer.rule.pattern_mismatch"
@@ -296,4 +340,6 @@ let suite =
       Alcotest.test_case "all four faults refuted and caught" `Quick
         test_faults_refuted_and_caught;
       Alcotest.test_case "pattern-mismatch probe gates the registry" `Quick
-        test_pattern_mismatch_gate ] ) ]
+        test_pattern_mismatch_gate;
+      Alcotest.test_case "rule outputs are canonical nodes" `Quick
+        test_outputs_canonical ] ) ]

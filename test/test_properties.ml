@@ -67,7 +67,7 @@ let prop_rewrites_preserve_schema =
                 in
                 now = original
                 || QCheck.Test.fail_reportf "%s changed schema" r.Optimizer.Rule.name)
-            (r.apply micro t))
+            (List.map Relalg.Hashcons.repr (r.apply micro (Relalg.Hashcons.intern t))))
         Optimizer.Rules.all)
 
 let prop_optimizer_deterministic =

@@ -171,6 +171,244 @@ let test_validate () =
   check bool_t "duplicate aliases rejected" true
     (Result.is_error (Props.validate cat dup_alias))
 
+(* ------------------------------------------------------------------ *)
+(* The node memo against a memo-free reference                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference oracle: every property recomputed from the tree by
+   structural recursion, with no memo and no interning. *)
+module Oracle = struct
+  open Storage
+
+  let ( let* ) = Result.bind
+  let ids cols = List.map (fun (c : Props.col_info) -> c.id) cols
+
+  let distinct l = List.length (List.sort_uniq Ident.compare l) = List.length l
+
+  let rec all_ok f = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* y = f x in
+      let* ys = all_ok f rest in
+      Ok (y :: ys)
+
+  let rec schema cat (t : L.t) : (Props.col_info list, string) result =
+    match t with
+    | Get { table; alias } -> (
+      match Catalog.find cat table with
+      | None -> Error ("unknown table " ^ table)
+      | Some tb ->
+        Ok
+          (List.map
+             (fun (c : Schema.column) ->
+               { Props.id = Ident.make alias c.col_name; ty = c.col_type; nullable = c.nullable })
+             tb.schema.columns))
+    | Filter { pred; child } ->
+      let* cols = schema cat child in
+      let* ty = S.type_of (Props.env_of cols) pred in
+      if DT.equal ty TBool then Ok cols else Error "Filter predicate is not boolean"
+    | Project { cols = items; child } ->
+      let* cols = schema cat child in
+      if not (distinct (List.map fst items)) then Error "Project: duplicate output columns"
+      else if items = [] then Error "Project: empty column list"
+      else
+        all_ok
+          (fun (id, e) ->
+            let* ty = S.type_of (Props.env_of cols) e in
+            let nullable =
+              match e with
+              | S.Col c -> List.exists (fun (ci : Props.col_info) -> Ident.equal ci.id c && ci.nullable) cols
+              | _ -> true
+            in
+            Ok { Props.id; ty; nullable })
+          items
+    | Join { kind; pred; left; right } -> (
+      let* lc = schema cat left in
+      let* rc = schema cat right in
+      let both = lc @ rc in
+      if not (distinct (ids both)) then Error "Join: overlapping column identifiers"
+      else
+        let* pty = S.type_of (Props.env_of both) pred in
+        if not (DT.equal pty TBool) then Error "Join predicate is not boolean"
+        else if not (Ident.Set.subset (S.columns pred) (Ident.Set.of_list (ids both))) then
+          Error "Join predicate references out-of-scope columns"
+        else
+          let pad = List.map (fun (c : Props.col_info) -> { c with nullable = true }) in
+          match kind with
+          | Cross -> if S.equal pred S.true_ then Ok both else Error "Cross join with a predicate"
+          | Inner -> Ok both
+          | LeftOuter -> Ok (lc @ pad rc)
+          | RightOuter -> Ok (pad lc @ rc)
+          | FullOuter -> Ok (pad lc @ pad rc)
+          | Semi | AntiSemi -> Ok lc)
+    | GroupBy { keys; aggs; child } ->
+      let* cols = schema cat child in
+      let* kcols =
+        all_ok
+          (fun k ->
+            match List.find_opt (fun (c : Props.col_info) -> Ident.equal c.id k) cols with
+            | Some c -> Ok c
+            | None -> Error ("GroupBy key not in child: " ^ Ident.to_sql k))
+          keys
+      in
+      let* acols =
+        all_ok
+          (fun (id, agg) ->
+            let* ty = Aggregate.result_type (Props.env_of cols) agg in
+            let nullable =
+              match agg with Aggregate.CountStar | Aggregate.Count _ -> false | _ -> true
+            in
+            Ok { Props.id; ty; nullable })
+          aggs
+      in
+      let out = kcols @ acols in
+      if aggs = [] && keys = [] then Error "GroupBy: no keys and no aggregates"
+      else if not (distinct (ids out)) then Error "GroupBy: duplicate output columns"
+      else Ok out
+    | UnionAll (a, b) | Union (a, b) | Intersect (a, b) | Except (a, b) ->
+      let* ac = schema cat a in
+      let* bc = schema cat b in
+      if List.length ac <> List.length bc then
+        Error "set operation: children have different arities"
+      else if
+        not
+          (List.for_all2 (fun (x : Props.col_info) (y : Props.col_info) -> DT.equal x.ty y.ty) ac bc)
+      then Error "set operation: column type mismatch"
+      else
+        Ok
+          (List.map2
+             (fun (x : Props.col_info) (y : Props.col_info) ->
+               { x with nullable = x.nullable || y.nullable })
+             ac bc)
+    | Distinct child -> schema cat child
+    | Sort { keys; child } ->
+      let* cols = schema cat child in
+      let out = Ident.Set.of_list (ids cols) in
+      if List.for_all (fun (k, _) -> Ident.Set.mem k out) keys then Ok cols
+      else Error "Sort key not in child output"
+    | Limit { count; child } ->
+      if count < 0 then Error "Limit: negative count" else schema cat child
+
+  let output_idents cat t =
+    match schema cat t with
+    | Ok cols -> Ident.Set.of_list (ids cols)
+    | Error _ -> Ident.Set.empty
+
+  let rec keys cat (t : L.t) : Ident.Set.t list =
+    match t with
+    | Get { table; alias } -> (
+      match Catalog.find cat table with
+      | None -> []
+      | Some tb ->
+        List.map
+          (fun key -> Ident.Set.of_list (List.map (Ident.make alias) key))
+          (Schema.keys tb.schema))
+    | Filter { child; _ } | Sort { child; _ } | Limit { child; _ } -> keys cat child
+    | Project { cols; child } ->
+      let exports =
+        List.filter_map (fun (id, e) -> match e with S.Col c -> Some (c, id) | _ -> None) cols
+      in
+      List.filter_map
+        (fun key ->
+          Ident.Set.fold
+            (fun k acc ->
+              Option.bind acc (fun s ->
+                  Option.map
+                    (fun (_, out) -> Ident.Set.add out s)
+                    (List.find_opt (fun (c, _) -> Ident.equal c k) exports)))
+            key (Some Ident.Set.empty))
+        (keys cat child)
+    | Join { kind; pred; left; right } -> (
+      let lk = keys cat left and rk = keys cat right in
+      let lcols, rcols =
+        Props.equi_join_columns pred (output_idents cat left) (output_idents cat right)
+      in
+      let on_key cols ks = List.exists (fun k -> Ident.Set.subset k cols) ks in
+      let combined = List.concat_map (fun a -> List.map (Ident.Set.union a) rk) lk in
+      match kind with
+      | Semi | AntiSemi -> lk
+      | Inner ->
+        (if on_key rcols rk then lk else []) @ (if on_key lcols lk then rk else []) @ combined
+      | Cross -> combined
+      | LeftOuter -> (if on_key rcols rk then lk else []) @ combined
+      | RightOuter -> (if on_key lcols lk then rk else []) @ combined
+      | FullOuter -> [])
+    | GroupBy { keys = gks; _ } -> [ Ident.Set.of_list gks ]
+    | Distinct child -> [ output_idents cat child ]
+    | Union _ | Intersect _ | Except _ -> [ output_idents cat t ]
+    | UnionAll _ -> []
+end
+
+let tpch = Storage.Datagen.tpch ~scale:0.001 ()
+
+(* A valid tree of one catalog (the micro and TPC-H catalogs alternate
+   by seed), possibly broken at one random node by a break that is
+   ill-formed under both catalogs. *)
+let gen_case seed =
+  let g = Storage.Prng.create seed in
+  let home = if seed mod 2 = 0 then cat else tpch in
+  let t = Core.Random_gen.generate ~max_ops:6 { Core.Arggen.g; cat = home } in
+  let breaks =
+    [| (fun t -> L.Filter { pred = S.int 1; child = t });
+       (fun t -> L.Project { cols = []; child = t });
+       (fun t -> L.Limit { count = -1; child = t });
+       (fun t -> L.Join { kind = L.Inner; pred = S.true_; left = t; right = t });
+       (fun t -> L.UnionAll (t, L.Get { table = "nope"; alias = "n" }));
+       (fun t -> L.Sort { keys = [ (id "q" "missing", L.Asc) ]; child = t }) |]
+  in
+  let size = L.size t in
+  let target = Storage.Prng.int g (2 * size) in
+  let broken =
+    if target >= size then t
+    else begin
+      let i = ref (-1) in
+      let rec go t =
+        incr i;
+        if !i = target then breaks.(Storage.Prng.int g (Array.length breaks)) t
+        else L.with_children t (List.map go (L.children t))
+      in
+      go t
+    end
+  in
+  (home, broken)
+
+let prop_node_memo_matches_oracle =
+  QCheck.Test.make ~name:"node memo equals the memo-free reference" ~count:300
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
+    (fun seed ->
+      let home, t = gen_case seed in
+      let keys_equal = List.equal Ident.Set.equal in
+      (* Asked under its own catalog, then under the other one (whose
+         tables it does not name), then its own again: the memo must
+         flush on each switch. *)
+      let other = if home == cat then tpch else cat in
+      List.for_all
+        (fun asked ->
+          L.fold
+            (fun ok sub ->
+              ok
+              && (Props.schema asked sub = Oracle.schema asked sub
+                 || QCheck.Test.fail_reportf "schema differs on\n%s" (L.to_string sub))
+              && (Ident.Set.equal (Props.output_idents asked sub)
+                    (Oracle.output_idents asked sub)
+                 || QCheck.Test.fail_reportf "output idents differ on\n%s" (L.to_string sub))
+              && (keys_equal (Props.keys asked sub) (Oracle.keys asked sub)
+                 || QCheck.Test.fail_reportf "keys differ on\n%s" (L.to_string sub)))
+            true t)
+        [ home; other; home ])
+
+let test_memo_cleared () =
+  let fill () =
+    ignore (Props.keys cat inner);
+    check bool_t "memo filled" true (Props.memo_entries () > 0)
+  in
+  fill ();
+  Hashcons.clear ();
+  check int_t "empty after Hashcons.clear" 0 (Props.memo_entries ());
+  fill ();
+  Props.clear ();
+  check int_t "empty after Props.clear" 0 (Props.memo_entries ())
+
 let suite =
   [ ( "relalg.props",
       [ Alcotest.test_case "get schema" `Quick test_get_schema;
@@ -184,4 +422,6 @@ let suite =
         Alcotest.test_case "keys: groupby/distinct" `Quick test_keys_groupby_distinct;
         Alcotest.test_case "keys: projection" `Quick test_keys_project_translation;
         Alcotest.test_case "equi-join columns" `Quick test_equi_join_columns;
-        Alcotest.test_case "validate" `Quick test_validate ] ) ]
+        Alcotest.test_case "validate" `Quick test_validate;
+        QCheck_alcotest.to_alcotest prop_node_memo_matches_oracle;
+        Alcotest.test_case "memo dropped by clear" `Quick test_memo_cleared ] ) ]
