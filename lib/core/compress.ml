@@ -3,9 +3,9 @@ type edge_costs = {
   suite : Suite.t;
   targets : Suite.target array;
   memo : (int * int, float) Hashtbl.t;
-  shared : Framework.shared option option array;
-      (* per query index: None = not explored yet; Some None = shared
-         exploration failed, use the per-call path for this query *)
+  shared : (Framework.shared, string) result option array;
+      (* per query index: None = not explored yet; Some (Error _) = the
+         query is invalid, so every edge of its column is infinite *)
   computed_c : Obs.Metrics.counter;
   memo_hit_c : Obs.Metrics.counter;
   (* Warm-start tier: edges loaded from a prior run's spilled matrix.
@@ -18,10 +18,10 @@ type edge_costs = {
   disk_served_c : Obs.Metrics.counter;
   (* Per-query-column dependency sets: the names of every rule whose
      pattern matched while computing this column's edges (the shared
-     exploration plus any per-call fallbacks). A rule absent from a
-     column's set cannot change that column's costs through a body-only
-     edit — the reuse criterion the incremental manifest applies. Only
-     columns with at least one computed edge appear. *)
+     exploration). A rule absent from a column's set cannot change that
+     column's costs through a body-only edit — the reuse criterion the
+     incremental manifest applies. Only columns with at least one
+     computed edge appear. *)
   deps : (int, string list) Hashtbl.t;
   mutable computed_n : int;
   mutable warm_n : int;
@@ -143,29 +143,25 @@ let serve_warm ec p c =
 
 (* [Cost(q, ¬R)] for query [qi] against each target of [tis]: a filtered
    re-costing pass over the query's one shared exploration (explored here
-   unless [ec.shared] already holds it), or one full optimization per
-   edge when that exploration failed. Runs under a matched-rule
-   collector, so the returned deps are the column's dependency set:
-   every rule whose body the exploration or a per-call fallback could
-   have consulted. Writes nothing in [ec] (only the framework's atomic
-   counters), so [prefetch] workers can run it in parallel;
-   [store_column] merges the result. *)
+   unless [ec.shared] already holds it). The exploration fails only when
+   the query itself is invalid, and then every [Cost(q, ¬R)] optimization
+   would fail the same validity check, so the column's edges are
+   infinite. Runs under a matched-rule collector, so the returned deps
+   are the column's dependency set: every rule whose body the
+   exploration could have consulted. Writes nothing in [ec] (only the
+   framework's atomic counters), so [prefetch] workers can run it in
+   parallel; [store_column] merges the result. *)
 let compute_column ec qi tis =
   let (sh, edges), deps =
     Framework.with_matched @@ fun () ->
-    let query = ec.suite.entries.(qi).query in
     let sh =
       match ec.shared.(qi) with
       | Some r -> r
-      | None -> Result.to_option (Framework.explore_shared ec.fw query)
+      | None -> Framework.explore_shared ec.fw ec.suite.entries.(qi).query
     in
     let cost_of ti =
       let disabled = Suite.rules_of ec.targets.(ti) in
-      match
-        match sh with
-        | Some sh -> Framework.shared_cost ec.fw ~disabled sh
-        | None -> Framework.cost ec.fw ~disabled query
-      with
+      match Result.bind sh (Framework.shared_cost ec.fw ~disabled) with
       | Ok c -> c
       | Error _ -> Float.infinity
     in
@@ -199,9 +195,8 @@ let edge_cost ec ~target_idx ~query_idx =
 
 (* The paper's abstract unit of optimizer work (Figure 14) is one edge,
    however it is served: a filtered re-costing pass over the query's one
-   shared exploration, a full [Cost(q, negated R)] optimization, or a
-   warm edge loaded from a prior run. The concrete invocation count is
-   [Framework.invocations]. *)
+   shared exploration, or a warm edge loaded from a prior run. The
+   concrete invocation count is [Framework.invocations]. *)
 let invocations_used ec = ec.computed_n + ec.warm_n
 let computed_edges ec = ec.computed_n
 let warm_served_edges ec = ec.warm_n

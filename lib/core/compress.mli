@@ -22,10 +22,11 @@ type edge_costs
     each query once with all rules enabled ({!Framework.explore_shared})
     and serves every disabled-set edge for that query as a cheap
     filtered re-costing pass — turning the R×Q cost matrix from R×Q full
-    optimizations into Q explorations plus R×Q costing passes. Only when
-    a query's shared exploration fails are its edges costed one full
-    {!Framework.cost} optimization each. The per-edge reference the
-    tests and benchmarks compare against is that same
+    optimizations into Q explorations plus R×Q costing passes. A shared
+    exploration fails only when the query is invalid, which every
+    [Cost(q, ¬R)] optimization would reject too, so that query's edges
+    are all [infinity] with no further optimizer invocation. The
+    per-edge reference the tests and benchmarks compare against is the
     {!Framework.cost}[ ~disabled] call, made directly. *)
 
 val edge_costs :
@@ -85,10 +86,10 @@ val snapshot : edge_costs -> ((int * int) * float) list
 
 val column_deps : edge_costs -> (int * string list) list
 (** Per query column with at least one computed edge: the sorted names
-    of every rule whose pattern matched while computing that column (the
-    shared exploration plus per-call fallbacks). A rule absent from a
-    column's set cannot change the column's costs via a body-only edit,
-    except through the disabled sets — which is why the incremental
+    of every rule whose pattern matched while computing that column (its
+    shared exploration). A rule absent from a column's set cannot change
+    the column's costs via a body-only edit, except through the disabled
+    sets — which is why the incremental
     reuse criterion exempts the rules a cell's own target disables. *)
 
 type solution = {

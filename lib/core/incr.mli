@@ -24,8 +24,7 @@ type t
 
 val rules_info : Framework.t -> Storage.Manifest.rule_info list
 (** The live registry as manifest rule records: name, content
-    fingerprint, pattern fingerprint, and source (["dsl"]/["closure"]),
-    in registry order. *)
+    fingerprint and pattern fingerprint, in registry order. *)
 
 val config_key : Framework.t -> desc:string -> string
 (** Manifest key for a pipeline configuration: digest of the catalog

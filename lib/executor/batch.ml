@@ -6,12 +6,14 @@ module L = Relalg.Logical
 module Ident = Relalg.Ident
 
 (* Columnar batch execution. Scalars are compiled once into *kernels*
-   that evaluate a whole morsel (a chunk of rows) at a time: every
-   expression node produces a [Value.t array] column, so per-row cost is
-   a tight loop body instead of a closure call per AST node. Observable
-   behaviour — values, three-valued logic, *and the exact error raised* —
-   must match the row-at-a-time paths ([Eval], [Compile.scalar]); the
-   QCheck differential properties hold all three to that.
+   that evaluate a whole batch of rows at a time: every expression node
+   produces a [Value.t array] column, so per-row cost is a tight loop
+   body instead of a closure call per AST node. Each operator evaluates
+   its expressions as one batch over its whole input (a nested-loops
+   join, one batch per left row). Observable behaviour — values,
+   three-valued logic, *and the exact error raised* — must match the
+   interpreter's [Eval]; the QCheck differential properties hold the two
+   to that.
 
    Error discipline. Row-at-a-time evaluation aborts a row at its first
    failing expression node and aborts the operator at its first failing
@@ -21,31 +23,29 @@ module Ident = Relalg.Ident
    evaluate their right side only over the selection where the left side
    didn't short-circuit (a row short-circuited to FALSE/TRUE must not
    observe errors from the unreached side), and when an operator
-   materializes its morsel the error of the *lowest* erroring row index
-   is raised — exactly the row a sequential scan would have died on.
-   [Par.Pool.map_array] re-raises the lowest-index task's exception, so
-   the same holds across parallel morsels. *)
+   materializes its batch the error of the *lowest* erroring row index
+   is raised — exactly the row a sequential scan would have died on. *)
 
 (* ------------------------------------------------------------------ *)
-(* Morsel context                                                      *)
+(* Batch context                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
   rows : Value.t array array;
   n : int;
   (* Allocated on the first error — the overwhelmingly common clean
-     morsel never pays for the slots. *)
+     batch never pays for the slots. *)
   mutable err : exn option array;
   mutable has_err : bool;
-  (* Per-morsel unboxed-column cache: [Some] once a column proved
-     all-float/NULL over the whole morsel, [None] once it proved mixed.
+  (* Per-batch unboxed-column cache: [Some] once a column proved
+     all-float/NULL over the whole batch, [None] once it proved mixed.
      Kernels sharing a column (several comparison leaves over the same
-     price column, say) pay the unboxing scan once per morsel instead
+     price column, say) pay the unboxing scan once per batch instead
      of once per kernel. *)
   mutable ucache : (int * (float array * bool array * bool) option) list;
-  (* Per-morsel common-subexpression store for the unboxed fast path:
+  (* Per-batch common-subexpression store for the unboxed fast path:
      full-selection, division-free float subtrees evaluate once per
-     morsel no matter how many kernels (or how many occurrences inside
+     batch no matter how many kernels (or how many occurrences inside
      one tree) mention them. Keyed structurally — column indices are
      operator-relative, and both the cache and the kernels live per
      operator, so equal keys mean equal values. *)
@@ -115,7 +115,7 @@ let bad_bool_exn v =
 (* A maximal Arith/Neg/Const/Col subtree whose constants are floats can
    evaluate entirely over unboxed [float array]s + null masks when — at
    runtime — every referenced column holds only floats and NULLs in the
-   current morsel: Float⊙Float semantics never raises, never produces an
+   current batch: Float⊙Float semantics never raises, never produces an
    Int, and division by zero yields NULL via the mask, so the fused loop
    is observationally identical to node-wise generic evaluation. NaN
    columns (absent from generated data, but cheap to guard) fall back to
@@ -140,7 +140,7 @@ let rec fexpr_cols acc = function
   | FNeg a -> fexpr_cols acc a
   | FOp (_, a, b) -> fexpr_cols (fexpr_cols acc a) b
 
-(* Unbox one column over the *whole morsel* (so the result is valid for
+(* Unbox one column over the *whole batch* (so the result is valid for
    any selection and cacheable per ctx): [None] unless every value is a
    (non-NaN) float or NULL. The third component records whether any
    NULL was seen — when it's [false] the mask is all-false and the
@@ -291,7 +291,7 @@ let rec feval_nm ctx sel (env : (int * float array) list)
   | FNull -> assert false (* callers exclude via [has_fnull] *)
   | FCol c -> List.assoc c env
   | FNeg _ | FOp _ ->
-    (* Common-subexpression elimination per morsel: a full-selection,
+    (* Common-subexpression elimination per batch: a full-selection,
        division-free subtree evaluates once and is shared — both across
        repeated occurrences inside one tree and across the kernels of
        one operator (they share the ctx). Division is excluded because
@@ -957,166 +957,40 @@ let rec selector (cols : Ident.t array) (e : S.t) : selfn =
     | None -> assert false)
   | _ -> sel_of_kernel (scalar cols e)
 
-(* Evaluate a kernel over one whole morsel and materialize: the column,
-   or the first row's error. *)
+(* Evaluate a kernel over one whole batch and materialize: the column,
+   or the lowest erroring row's error. *)
 let eval_column (k : kernel) rows =
   let ctx = make_ctx rows in
   let col = k ctx (full_sel ctx.n) in
   check ctx;
   col
 
-(* ------------------------------------------------------------------ *)
-(* Batch aggregates                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* One group's members arrive as a single batch; the argument column is
-   materialized (raising the first member's error, as the row path's
-   eager [non_null] list build does), then folded. SUM/AVG over all-
-   float (or all-int) columns fold unboxed accumulators — same
-   operations in the same order as the generic fold, so results are
-   bit-identical, just without a boxed list per group. *)
-
-let agg_fail fmt = Relops.fail fmt
-
-let fold_sum col =
-  let n = Array.length col in
-  (* Unboxed fast paths: bail to the generic fold on the first value
-     that breaks the mono-typed assumption. *)
-  let rec fsum i acc seen =
-    if i = n then if seen then Some (Value.Float acc) else Some Value.Null
-    else
-      match col.(i) with
-      | Value.Null -> fsum (i + 1) acc seen
-      | Value.Float x -> fsum (i + 1) (if seen then acc +. x else x) true
-      | _ -> None
-  in
-  let rec isum i acc seen =
-    if i = n then if seen then Some (Value.Int acc) else Some Value.Null
-    else
-      match col.(i) with
-      | Value.Null -> isum (i + 1) acc seen
-      | Value.Int x -> isum (i + 1) (acc + x) true
-      | _ -> None
-  in
-  let fast =
-    (* Dispatch on the first non-null value's type. *)
-    let rec first i =
-      if i = n then Some Value.Null
-      else
-        match col.(i) with
-        | Value.Null -> first (i + 1)
-        | Value.Float _ -> fsum i 0.0 false
-        | Value.Int _ -> isum i 0 false
-        | _ -> None
-    in
-    first 0
-  in
-  match fast with
-  | Some v -> v
-  | None ->
-    let acc = ref Value.Null and seen = ref false in
-    Array.iter
-      (fun v ->
-        if not (Value.is_null v) then
-          if !seen then acc := Value.add !acc v
-          else begin
-            acc := v;
-            seen := true
-          end)
-      col;
-    !acc
-
-let make_agg (cols : Ident.t array) (agg : A.t) :
-    Value.t array array -> Value.t =
-  let arg e = scalar cols e in
-  match agg with
-  | A.CountStar -> fun rows -> Value.Int (Array.length rows)
-  | A.Count e ->
-    let k = arg e in
-    fun rows ->
-      let col = eval_column k rows in
-      let c = ref 0 in
-      Array.iter (fun v -> if not (Value.is_null v) then incr c) col;
-      Value.Int !c
-  | A.Sum e ->
-    let k = arg e in
-    fun rows -> fold_sum (eval_column k rows)
-  | A.Min e ->
-    let k = arg e in
-    fun rows ->
-      let acc = ref Value.Null and seen = ref false in
-      Array.iter
-        (fun v ->
-          if not (Value.is_null v) then
-            if not !seen then begin
-              acc := v;
-              seen := true
-            end
-            else if Value.compare_total v !acc < 0 then acc := v)
-        (eval_column k rows);
-      !acc
-  | A.Max e ->
-    let k = arg e in
-    fun rows ->
-      let acc = ref Value.Null and seen = ref false in
-      Array.iter
-        (fun v ->
-          if not (Value.is_null v) then
-            if not !seen then begin
-              acc := v;
-              seen := true
-            end
-            else if Value.compare_total v !acc > 0 then acc := v)
-        (eval_column k rows);
-      !acc
-  | A.Avg e ->
-    let k = arg e in
-    fun rows ->
-      let col = eval_column k rows in
-      let total = ref 0.0 and count = ref 0 in
-      Array.iter
-        (fun v ->
-          match v with
-          | Value.Null -> ()
-          | Value.Int x ->
-            total := !total +. float_of_int x;
-            incr count
-          | Value.Float x ->
-            total := !total +. x;
-            incr count
-          | _ -> agg_fail "AVG over non-numeric value")
-        col;
-      if !count = 0 then Value.Null
-      else Value.Float (!total /. float_of_int !count)
+(* A selector over one batch: the ascending indices of its TRUE rows, or
+   the lowest erroring row's error. *)
+let keep (sf : selfn) rows =
+  let ctx = make_ctx rows in
+  let kept, _nulls = sf ctx (full_sel ctx.n) in
+  check ctx;
+  kept
 
 (* ------------------------------------------------------------------ *)
-(* Plan compilation: morsel-scheduled operators                        *)
+(* Plan compilation: one batch per operator                            *)
 (* ------------------------------------------------------------------ *)
-
-let default_morsel_rows = 1024
-
-type cfg = { pool : Par.Pool.t; morsel_rows : int }
 
 type t = { cols : Ident.t array; gen : unit -> Value.t array array }
 
 let check_arity a b =
   if Array.length a.cols <> Array.length b.cols then
-    Relops.fail "set operation arity mismatch: %d vs %d" (Array.length a.cols)
-      (Array.length b.cols)
+    raise
+      (Compile.Compile_error
+         (Printf.sprintf "set operation arity mismatch: %d vs %d"
+            (Array.length a.cols) (Array.length b.cols)))
 
-(* One filter morsel: run the selection transformer, keep TRUE rows,
-   raise the lowest erroring row. *)
-let filter_chunk (sf : selfn) chunk =
-  let ctx = make_ctx chunk in
-  let kept, _nulls = sf ctx (full_sel ctx.n) in
-  check ctx;
-  Array.map (fun i -> Array.unsafe_get chunk i) kept
-
-(* One projection morsel: all expression columns share the error slots
-   (per row, the leftmost failing expression wins — the row path
-   evaluates expressions left-to-right within a row). *)
-let compute_chunk (kernels : kernel array) chunk =
-  let ctx = make_ctx chunk in
+(* Projection: all expression columns share the error slots (per row,
+   the leftmost failing expression wins — the row path evaluates
+   expressions left-to-right within a row). *)
+let compute (kernels : kernel array) rows =
+  let ctx = make_ctx rows in
   let sel = full_sel ctx.n in
   let columns = Array.map (fun k -> k ctx sel) kernels in
   check ctx;
@@ -1131,31 +1005,14 @@ let compute_chunk (kernels : kernel array) chunk =
   done;
   out
 
-(* Nested-loops probe, one left morsel: each left row batches the whole
-   right side as one combined-row morsel. *)
-let nl_chunk (k : kernel) (rarr : Value.t array array) chunk =
-  Array.map
-    (fun lrow ->
-      let combined = Array.map (fun rrow -> Array.append lrow rrow) rarr in
-      let ctx = make_ctx combined in
-      let col = k ctx (full_sel ctx.n) in
-      let ms = ref [] in
-      for ri = ctx.n - 1 downto 0 do
-        if ok ctx ri then
-          match col.(ri) with
-          | Value.Bool true -> ms := ri :: !ms
-          | Value.Bool false | Value.Null -> ()
-          | v -> set_err ctx ri (bad_bool_exn v)
-      done;
-      check ctx;
-      !ms)
-    chunk
+(* A join residual over the combined layout, as a filter of the key
+   candidates; the identity when the residual is TRUE. *)
+let residual_filter cols r =
+  if S.equal r S.true_ then fun _ _ candidates -> candidates
+  else Relops.filter_matches (keep (selector cols r))
 
-let residual_pred cols r =
-  if S.equal r S.true_ then None else Some (Compile.pred cols r)
-
-let rec node cfg catalog (p : P.t) : t =
-  let sub = node cfg catalog in
+let rec node catalog (p : P.t) : t =
+  let sub = node catalog in
   let compiled =
     match p with
     | P.TableScan { table; alias } -> (
@@ -1173,68 +1030,57 @@ let rec node cfg catalog (p : P.t) : t =
         { cols; gen = (fun () -> rows) })
     | P.FilterOp { pred = pr; child } ->
       let c = sub child in
-      let k = selector c.cols pr in
+      let sf = selector c.cols pr in
       { cols = c.cols;
         gen =
           (fun () ->
-            Relops.map_morsels cfg.pool ~rows:cfg.morsel_rows (filter_chunk k)
-              (c.gen ())) }
+            let rows = c.gen () in
+            Array.map (fun i -> Array.unsafe_get rows i) (keep sf rows)) }
     | P.ComputeScalar { cols; child } ->
       let c = sub child in
       let out_cols = Array.of_list (List.map fst cols) in
       let kernels =
         Array.of_list (List.map (fun (_, e) -> scalar c.cols e) cols)
       in
-      { cols = out_cols;
-        gen =
-          (fun () ->
-            Relops.map_morsels cfg.pool ~rows:cfg.morsel_rows
-              (compute_chunk kernels) (c.gen ())) }
+      { cols = out_cols; gen = (fun () -> compute kernels (c.gen ())) }
     | P.NestedLoopsJoin { kind; pred = pr; left; right } ->
       let l = sub left and r = sub right in
-      let k = scalar (Array.append l.cols r.cols) pr in
+      let sf = selector (Array.append l.cols r.cols) pr in
       let la = Array.length l.cols and ra = Array.length r.cols in
       { cols = Relops.join_cols kind l.cols r.cols;
         gen =
           (fun () ->
             let larr = l.gen () and rarr = r.gen () in
             Relops.join_rows kind ~left_arity:la ~right_arity:ra larr rarr
-              (Relops.map_morsels cfg.pool ~rows:cfg.morsel_rows
-                 (nl_chunk k rarr) larr)) }
+              (Relops.nested_loops_matches (keep sf) larr rarr)) }
     | P.HashJoin { kind; left_keys; right_keys; residual; left; right } ->
       let l = sub left and r = sub right in
       let lidx = Compile.key_indices l.cols left_keys in
       let ridx = Compile.key_indices r.cols right_keys in
-      let res = residual_pred (Array.append l.cols r.cols) residual in
+      let res = residual_filter (Array.append l.cols r.cols) residual in
       let la = Array.length l.cols and ra = Array.length r.cols in
       { cols = Relops.join_cols kind l.cols r.cols;
         gen =
           (fun () ->
             let larr = l.gen () and rarr = r.gen () in
-            (* Build once on the scheduling domain, probe morsel-wise —
-               probes are pure per left row. *)
-            let table = Relops.hash_build ~ridx rarr in
             Relops.join_rows kind ~left_arity:la ~right_arity:ra larr rarr
-              (Relops.map_morsels cfg.pool ~rows:cfg.morsel_rows
-                 (Array.map
-                    (Relops.hash_probe_row table ~lidx ~residual:res rarr))
-                 larr)) }
+              (res larr rarr (Relops.hash_matches ~lidx ~ridx larr rarr))) }
     | P.MergeJoin { left_keys; right_keys; residual; left; right } ->
       let l = sub left and r = sub right in
       let lidx = Compile.key_indices l.cols left_keys in
       let ridx = Compile.key_indices r.cols right_keys in
-      let res = residual_pred (Array.append l.cols r.cols) residual in
+      let res = residual_filter (Array.append l.cols r.cols) residual in
       let la = Array.length l.cols and ra = Array.length r.cols in
       { cols = Relops.join_cols L.Inner l.cols r.cols;
         gen =
           (fun () ->
             let larr = l.gen () and rarr = r.gen () in
             Relops.join_rows L.Inner ~left_arity:la ~right_arity:ra larr rarr
-              (Relops.merge_matches ~lidx ~ridx ~residual:res larr rarr)) }
+              (res larr rarr (Relops.merge_matches ~lidx ~ridx larr rarr))) }
     | P.HashAggregate { keys; aggs; child } ->
-      node_agg cfg (sub child) keys aggs Relops.hash_groups
+      node_agg (sub child) keys aggs Relops.hash_groups
     | P.StreamAggregate { keys; aggs; child } ->
-      node_agg cfg (sub child) keys aggs Relops.stream_groups
+      node_agg (sub child) keys aggs Relops.stream_groups
     | P.SortOp { keys; child } ->
       let c = sub child in
       let kidx = Compile.key_indices c.cols (List.map fst keys) in
@@ -1296,13 +1142,14 @@ let rec node cfg catalog (p : P.t) : t =
         end;
         rows) }
 
-(* Aggregation: grouping is a sequential pipeline breaker (hash table /
-   run detection), but per-group aggregate evaluation is pure, so groups
-   are aggregated morsel-wise. *)
-and node_agg cfg c keys aggs group =
+(* Aggregation: each aggregate argument compiles to one kernel, and
+   every group's members are one batch ([Relops.make_agg] folds the
+   column). *)
+and node_agg c keys aggs group =
   let kidx = Compile.key_indices c.cols keys in
+  let column e = eval_column (scalar c.cols e) in
   let agg_fns =
-    Array.of_list (List.map (fun (_, a) -> make_agg c.cols a) aggs)
+    Array.of_list (List.map (fun (_, a) -> Relops.make_agg column a) aggs)
   in
   let out_cols = Array.of_list (keys @ List.map fst aggs) in
   { cols = out_cols;
@@ -1314,10 +1161,6 @@ and node_agg cfg c keys aggs group =
              group exists. *)
           if keys = [] then [| ([||], rows) |] else group kidx rows
         in
-        Relops.map_morsels cfg.pool ~rows:cfg.morsel_rows
-          (Relops.grouped_rows agg_fns) groups) }
+        Relops.grouped_rows agg_fns groups) }
 
-let plan ?(pool = Par.Pool.sequential) ?(morsel_rows = default_morsel_rows)
-    catalog p =
-  if morsel_rows < 1 then invalid_arg "Batch.plan: morsel_rows < 1";
-  node { pool; morsel_rows } catalog p
+let plan = node

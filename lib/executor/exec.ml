@@ -34,19 +34,22 @@ let key_indices (cols : Ident.t array) keys =
   in
   Array.of_list (List.map find keys)
 
-(* Aggregate arguments interpreted per row, per group. *)
+(* Aggregate arguments interpreted per row, per group: a group's column
+   is [Array.map], so it raises at the first erroring member. *)
 let interp_aggs cols aggs =
   let env = make_env cols in
-  Array.of_list
-    (List.map
-       (fun (_, a) -> Relops.make_agg (fun e row -> Eval.scalar (env row) e) a)
-       aggs)
+  let column e rows = Array.map (fun row -> Eval.scalar (env row) e) rows in
+  Array.of_list (List.map (fun (_, a) -> Relops.make_agg column a) aggs)
 
-let residual_env cols r =
-  if Relalg.Scalar.equal r Relalg.Scalar.true_ then None
-  else
-    let env = make_env cols in
-    Some (fun row -> Eval.pred_true (env row) r)
+(* A predicate as a [keep] function over the combined layout, tested row
+   by row in batch order. *)
+let keep_env cols p =
+  let env = make_env cols in
+  Relops.keep_where (fun row -> Eval.pred_true (env row) p)
+
+let residual_filter cols r larr rarr candidates =
+  if Relalg.Scalar.equal r Relalg.Scalar.true_ then candidates
+  else Relops.filter_matches (keep_env cols r) larr rarr candidates
 
 let rec exec catalog (plan : P.t) : RS.t =
   let rs = exec_node catalog plan in
@@ -113,22 +116,21 @@ and exec_node catalog (plan : P.t) : RS.t =
     RS.make out_cols rows
   | P.NestedLoopsJoin { kind; pred; left; right } ->
     exec_join catalog kind left right (fun l r larr rarr ->
-        let env = make_env (Array.append (RS.cols l) (RS.cols r)) in
         Relops.nested_loops_matches
-          (fun row -> Eval.pred_true (env row) pred)
+          (keep_env (Array.append (RS.cols l) (RS.cols r)) pred)
           larr rarr)
   | P.HashJoin { kind; left_keys; right_keys; residual; left; right } ->
     exec_join catalog kind left right (fun l r larr rarr ->
         let lidx = key_indices (RS.cols l) left_keys in
         let ridx = key_indices (RS.cols r) right_keys in
-        let res = residual_env (Array.append (RS.cols l) (RS.cols r)) residual in
-        Relops.hash_matches ~lidx ~ridx ~residual:res larr rarr)
+        residual_filter (Array.append (RS.cols l) (RS.cols r)) residual larr
+          rarr (Relops.hash_matches ~lidx ~ridx larr rarr))
   | P.MergeJoin { left_keys; right_keys; residual; left; right } ->
     exec_join catalog L.Inner left right (fun l r larr rarr ->
         let lidx = key_indices (RS.cols l) left_keys in
         let ridx = key_indices (RS.cols r) right_keys in
-        let res = residual_env (Array.append (RS.cols l) (RS.cols r)) residual in
-        Relops.merge_matches ~lidx ~ridx ~residual:res larr rarr)
+        residual_filter (Array.append (RS.cols l) (RS.cols r)) residual larr
+          rarr (Relops.merge_matches ~lidx ~ridx larr rarr))
   | P.HashAggregate { keys; aggs; child } ->
     exec_agg catalog keys aggs child Relops.hash_groups
   | P.StreamAggregate { keys; aggs; child } ->
@@ -195,13 +197,10 @@ let rps_g = Obs.Metrics.gauge "executor.rows_per_sec"
 
 let materialize (b : Batch.t) = RS.make b.cols (b.gen ())
 
-(* Columnar batch kernels ([Batch]), morsel-scheduled through [pool]
-   when one is supplied. Sequential by default — the campaign layers
-   already fan out across queries, and nested domain pools
-   oversubscribe. *)
-let run ?pool ?morsel_rows catalog plan =
+(* Columnar batch kernels ([Batch]), one batch per operator. *)
+let run catalog plan =
   Obs.Trace.with_span "exec.batch" @@ fun () ->
-  let compile () = Batch.plan ?pool ?morsel_rows catalog plan in
+  let compile () = Batch.plan catalog plan in
   try
     if Obs.Metrics.enabled () then begin
       let t0 = Obs.Clock.now_ns () in

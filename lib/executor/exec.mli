@@ -6,24 +6,22 @@
     for global aggregation over empty input, and null-safe set
     operations.
 
-    Two paths share one relational core ({!Relops}): {!run} compiles the
-    plan once into columnar batch kernels ({!Batch}) and streams morsels
-    through them; {!run_interpreted} walks expression ASTs per row — the
-    simple oracle the batch path is differentially tested and
-    benchmarked against. *)
+    Two paths share one relational core ({!Relops}) and differ only in
+    their one expression evaluator: {!run} compiles the plan once into
+    columnar batch kernels ({!Batch}), each operator evaluating its
+    expressions as one batch; {!run_interpreted} walks expression ASTs
+    per row ({!Eval}) — the simple oracle the batch path is
+    differentially tested and benchmarked against. *)
 
 val run :
-  ?pool:Par.Pool.t ->
-  ?morsel_rows:int ->
   Storage.Catalog.t ->
   Optimizer.Physical.t ->
   (Resultset.t, string) result
 (** Compile then execute, bottom-up and materializing, via the columnar
     batch path ({!Batch}). Fails (rather than raising) on unknown
     tables/columns, arity mismatches — reported at compile time, before
-    any row is produced — and on row-time type errors. [pool] schedules
-    morsels across domains (default sequential; results byte-identical
-    either way). When metrics are enabled, records
+    any row is produced — and on row-time type errors. When metrics are
+    enabled, records
     [executor.compile_ns], [executor.exec_ns], [executor.rows], and
     [executor.rows_per_sec]. *)
 

@@ -40,102 +40,108 @@ let filter_rows p rows =
   Array.iter (fun row -> if p row then Vec.push out row) rows;
   Vec.to_array out
 
-(* ------------------------------------------------------------------ *)
-(* Morsels                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Fixed-size chunking of an operator's input. Empty input yields zero
-   morsels (not one empty morsel), so downstream maps are no-ops. *)
-let morselize ~rows:m arr =
-  if m < 1 then invalid_arg "Relops.morselize: morsel size < 1";
-  let n = Array.length arr in
-  Array.init ((n + m - 1) / m) (fun k ->
-      Array.sub arr (k * m) (min m (n - (k * m))))
-
-let morsels_c = Obs.Metrics.counter "executor.batch.morsels"
-let morsel_rows_c = Obs.Metrics.counter "executor.batch.rows"
-
-(* The morsel scheduler: chunk, map each morsel (through the pool when
-   one is supplied), concatenate in task order. [Par.Pool.map_array]
-   merges result slots by task index and re-raises the lowest failing
-   task's exception, so both the output *and* the error surfaced are
-   byte-identical to a sequential left-to-right scan for any jobs
-   count. *)
-let map_morsels pool ~rows f arr =
-  let chunks = morselize ~rows arr in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.add morsels_c (Array.length chunks);
-    Obs.Metrics.add morsel_rows_c (Array.length arr)
-  end;
-  match chunks with
-  | [||] -> [||]
-  | [| only |] -> f only
-  | chunks -> Array.concat (Array.to_list (Par.Pool.map_array pool f chunks))
-
 let take_rows n rows = Array.sub rows 0 (min n (Array.length rows))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [make_agg compile agg] resolves the aggregate's argument expression
-   once via [compile] and returns the per-group evaluator. NULL inputs
-   are skipped by every aggregate except COUNT( * ). *)
-let make_agg (compile : Relalg.Scalar.t -> Value.t array -> Value.t)
-    (agg : A.t) : Value.t array array -> Value.t =
-  let non_null f rows =
-    List.rev
-      (Array.fold_left
-         (fun acc row ->
-           let v = f row in
-           if Value.is_null v then acc else v :: acc)
-         [] rows)
+(* Fold [f] over a column's non-NULL values, seeded with the first one;
+   NULL when there is none. *)
+let fold_non_null f col =
+  let acc = ref Value.Null and seen = ref false in
+  Array.iter
+    (fun v ->
+      if not (Value.is_null v) then
+        if !seen then acc := f !acc v
+        else begin
+          acc := v;
+          seen := true
+        end)
+    col;
+  !acc
+
+(* SUM over one materialized column. Unboxed fast paths for mono-typed
+   float and int columns bail to the generic fold on the first value that
+   breaks the assumption; they perform the same operations in the same
+   order as the generic fold, so results are bit-identical. *)
+let fold_sum col =
+  let n = Array.length col in
+  let rec fsum i acc seen =
+    if i = n then if seen then Some (Value.Float acc) else Some Value.Null
+    else
+      match col.(i) with
+      | Value.Null -> fsum (i + 1) acc seen
+      | Value.Float x -> fsum (i + 1) (if seen then acc +. x else x) true
+      | _ -> None
   in
+  let rec isum i acc seen =
+    if i = n then if seen then Some (Value.Int acc) else Some Value.Null
+    else
+      match col.(i) with
+      | Value.Null -> isum (i + 1) acc seen
+      | Value.Int x -> isum (i + 1) (acc + x) true
+      | _ -> None
+  in
+  (* Dispatch on the first non-null value's type. *)
+  let rec first i =
+    if i = n then Some Value.Null
+    else
+      match col.(i) with
+      | Value.Null -> first (i + 1)
+      | Value.Float _ -> fsum i 0.0 false
+      | Value.Int _ -> isum i 0 false
+      | _ -> None
+  in
+  match first 0 with Some v -> v | None -> fold_non_null Value.add col
+
+(* [make_agg column agg] resolves the aggregate's argument to a column
+   evaluator once and returns the per-group evaluator: the group's
+   argument column is materialized (raising what the evaluator raises),
+   then folded. NULL inputs are skipped by every aggregate except
+   COUNT( * ). *)
+let make_agg (column : Relalg.Scalar.t -> Value.t array array -> Value.t array)
+    (agg : A.t) : Value.t array array -> Value.t =
   match agg with
   | A.CountStar -> fun rows -> Value.Int (Array.length rows)
   | A.Count e ->
-    let f = compile e in
-    fun rows -> Value.Int (List.length (non_null f rows))
+    let f = column e in
+    fun rows ->
+      let c = ref 0 in
+      Array.iter (fun v -> if not (Value.is_null v) then incr c) (f rows);
+      Value.Int !c
   | A.Sum e ->
-    let f = compile e in
-    fun rows ->
-      (match non_null f rows with
-      | [] -> Value.Null
-      | v :: vs -> List.fold_left Value.add v vs)
+    let f = column e in
+    fun rows -> fold_sum (f rows)
   | A.Min e ->
-    let f = compile e in
+    let f = column e in
     fun rows ->
-      (match non_null f rows with
-      | [] -> Value.Null
-      | v :: vs ->
-        List.fold_left
-          (fun a b -> if Value.compare_total b a < 0 then b else a)
-          v vs)
+      fold_non_null
+        (fun a v -> if Value.compare_total v a < 0 then v else a)
+        (f rows)
   | A.Max e ->
-    let f = compile e in
+    let f = column e in
     fun rows ->
-      (match non_null f rows with
-      | [] -> Value.Null
-      | v :: vs ->
-        List.fold_left
-          (fun a b -> if Value.compare_total b a > 0 then b else a)
-          v vs)
+      fold_non_null
+        (fun a v -> if Value.compare_total v a > 0 then v else a)
+        (f rows)
   | A.Avg e ->
-    let f = compile e in
+    let f = column e in
     fun rows ->
-      (match non_null f rows with
-      | [] -> Value.Null
-      | vs ->
-        let total =
-          List.fold_left
-            (fun acc v ->
-              match v with
-              | Value.Int x -> acc +. float_of_int x
-              | Value.Float x -> acc +. x
-              | _ -> fail "AVG over non-numeric value")
-            0.0 vs
-        in
-        Value.Float (total /. float_of_int (List.length vs)))
+      let total = ref 0.0 and count = ref 0 in
+      Array.iter
+        (function
+          | Value.Null -> ()
+          | Value.Int x ->
+            total := !total +. float_of_int x;
+            incr count
+          | Value.Float x ->
+            total := !total +. x;
+            incr count
+          | _ -> fail "AVG over non-numeric value")
+        (f rows);
+      if !count = 0 then Value.Null
+      else Value.Float (!total /. float_of_int !count)
 
 (* Hash grouping in first-appearance order of the keys; members keep
    input order. *)
@@ -243,23 +249,49 @@ let join_rows (kind : L.join_kind) ~left_arity ~right_arity
   | L.Semi | L.AntiSemi | L.Inner | L.Cross | L.LeftOuter -> ());
   Vec.to_array out
 
-let nested_loops_matches (pred : Value.t array -> bool)
-    (larr : Value.t array array) (rarr : Value.t array array) =
+(* Ascending indices of the rows [p] accepts, tested in input order:
+   the interpreter's [keep] for the match filters below. *)
+let keep_where p rows =
+  let out = Vec.create () in
+  Array.iteri (fun i row -> if p row then Vec.push out i) rows;
+  Vec.to_array out
+
+(* One [keep] batch per left row: the row combined with every right
+   row. *)
+let nested_loops_matches keep (larr : Value.t array array)
+    (rarr : Value.t array array) =
   Array.map
     (fun lrow ->
-      let ms = ref [] in
-      Array.iteri
-        (fun ri rrow -> if pred (Array.append lrow rrow) then ms := ri :: !ms)
-        rarr;
-      List.rev !ms)
+      Array.to_list (keep (Array.map (fun rrow -> Array.append lrow rrow) rarr)))
     larr
 
+(* Residual filtering of candidate matches: every candidate pair of the
+   operator, combined, in one [keep] batch — left rows in order, each
+   row's candidates in right order, the order a per-pair loop tests
+   them, so a [keep] that raises at its lowest erroring row raises the
+   pair such a loop would have died on. *)
+let filter_matches keep (larr : Value.t array array) (rarr : Value.t array array)
+    (candidates : int list array) =
+  let pairs = Vec.create () in
+  Array.iteri
+    (fun li ms -> List.iter (fun ri -> Vec.push pairs (li, ri)) ms)
+    candidates;
+  let pairs = Vec.to_array pairs in
+  let kept =
+    keep (Array.map (fun (li, ri) -> Array.append larr.(li) rarr.(ri)) pairs)
+  in
+  let out = Array.make (Array.length larr) [] in
+  for k = Array.length kept - 1 downto 0 do
+    let li, ri = pairs.(kept.(k)) in
+    out.(li) <- ri :: out.(li)
+  done;
+  out
+
 (* Equi-join by hashing the right side on its key columns. NULL keys
-   never match (skipped on both sides); [residual] — when present — is
-   checked over the combined row. Build and probe are split so the batch
-   path can build once sequentially and probe left-side morsels in
-   parallel. *)
-let hash_build ~ridx (rarr : Value.t array array) : int list ref RowTbl.t =
+   never match (skipped on both sides); candidates come in right-input
+   order. *)
+let hash_matches ~lidx ~ridx (larr : Value.t array array)
+    (rarr : Value.t array array) =
   let table : int list ref RowTbl.t = RowTbl.create 64 in
   Array.iteri
     (fun ri rrow ->
@@ -269,31 +301,20 @@ let hash_build ~ridx (rarr : Value.t array array) : int list ref RowTbl.t =
         | Some cell -> cell := ri :: !cell
         | None -> RowTbl.add table key (ref [ ri ]))
     rarr;
-  table
-
-let hash_probe_row table ~lidx ~(residual : (Value.t array -> bool) option)
-    (rarr : Value.t array array) lrow =
-  let check_residual ri =
-    match residual with
-    | None -> true
-    | Some p -> p (Array.append lrow rarr.(ri))
-  in
-  let key = extract_key lidx lrow in
-  if key_has_null key then []
-  else
-    match RowTbl.find_opt table key with
-    | None -> []
-    | Some cell -> List.filter check_residual (List.rev !cell)
-
-let hash_matches ~lidx ~ridx ~(residual : (Value.t array -> bool) option)
-    (larr : Value.t array array) (rarr : Value.t array array) =
-  let table = hash_build ~ridx rarr in
-  Array.map (hash_probe_row table ~lidx ~residual rarr) larr
+  Array.map
+    (fun lrow ->
+      let key = extract_key lidx lrow in
+      if key_has_null key then []
+      else
+        match RowTbl.find_opt table key with
+        | None -> []
+        | Some cell -> List.rev !cell)
+    larr
 
 (* Inner merge join over inputs already sorted on their keys. Rows with
    NULL keys sort first and can never match; they are skipped. *)
-let merge_matches ~lidx ~ridx ~(residual : (Value.t array -> bool) option)
-    (larr : Value.t array array) (rarr : Value.t array array) =
+let merge_matches ~lidx ~ridx (larr : Value.t array array)
+    (rarr : Value.t array array) =
   let nl = Array.length larr and nr = Array.length rarr in
   let match_lists = Array.make nl [] in
   let key_cmp = Resultset.compare_rows in
@@ -321,17 +342,9 @@ let merge_matches ~lidx ~ridx ~(residual : (Value.t array -> bool) option)
         do
           incr r_end
         done;
+        let group = List.init (!r_end - !ri) (fun j -> !ri + j) in
         for i = !li to !l_end - 1 do
-          let ms = ref [] in
-          for j = !ri to !r_end - 1 do
-            let ok =
-              match residual with
-              | None -> true
-              | Some p -> p (Array.append larr.(i) rarr.(j))
-            in
-            if ok then ms := j :: !ms
-          done;
-          match_lists.(i) <- List.rev !ms
+          match_lists.(i) <- group
         done;
         li := !l_end;
         ri := !r_end

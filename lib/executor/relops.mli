@@ -1,12 +1,13 @@
-(** Row-level machinery shared by the interpreter ({!Exec.run_interpreted})
-    and the compiled path ({!Compile}): hash tables over rows, join
-    finalization, grouping, aggregation, distinct, and sort comparators.
+(** The executor's relational core, shared by the batch path
+    ({!Exec.run}, {!Batch} kernels) and the interpreter
+    ({!Exec.run_interpreted}, {!Eval}): hash tables over rows, join
+    matching and finalization, grouping, aggregate folds, distinct, and
+    sort comparators.
 
     Everything here is parameterized by already-resolved column *indices*
-    and per-row evaluation *closures*, so the two execution paths differ
-    only in how they evaluate expressions (AST walk with a column
-    hashtable vs. precompiled closures over array offsets), never in
-    relational semantics. *)
+    and expression *evaluators* — a row predicate, a batch [keep]
+    function, a column evaluator — so the two paths differ only in how
+    they evaluate expressions, never in relational semantics. *)
 
 open Storage
 
@@ -21,40 +22,21 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 module RowTbl : Hashtbl.S with type key = Value.t array
 (** Hashtable keyed by whole rows ({!Resultset.compare_rows} equality). *)
 
-module Vec : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-  val to_array : 'a t -> 'a array
-end
-
-val nulls : int -> Value.t array
-val key_has_null : Value.t array -> bool
-val extract_key : int array -> Value.t array -> Value.t array
 val filter_rows : (Value.t array -> bool) -> Value.t array array -> Value.t array array
 val take_rows : int -> Value.t array array -> Value.t array array
 
-val morselize : rows:int -> 'a array -> 'a array array
-(** Fixed-size chunks in input order; the last may be short; empty input
-    yields zero morsels. Raises [Invalid_argument] when [rows < 1]. *)
-
-val map_morsels :
-  Par.Pool.t -> rows:int -> ('a array -> 'b array) -> 'a array -> 'b array
-(** Chunk, map each morsel through the pool, concatenate in task order —
-    output (and any raised exception: the lowest morsel's) is identical
-    for every pool size. Counts [executor.batch.morsels] /
-    [executor.batch.rows] when metrics are on. *)
-
 val make_agg :
-  (Relalg.Scalar.t -> Value.t array -> Value.t) ->
+  (Relalg.Scalar.t -> Value.t array array -> Value.t array) ->
   Relalg.Aggregate.t ->
   Value.t array array ->
   Value.t
-(** [make_agg compile agg] resolves the aggregate's argument once via
-    [compile] and returns the evaluator for one group's rows. NULLs are
-    skipped by every aggregate except COUNT( * ); SUM/MIN/MAX/AVG of an
-    all-NULL (or empty) group is NULL. *)
+(** [make_agg column agg] resolves the aggregate's argument to a column
+    evaluator once, via [column], and returns the evaluator for one
+    group's rows: the argument column is materialized, raising whatever
+    [column] raises, then folded. NULLs are skipped by every aggregate
+    except COUNT( * ); SUM/MIN/MAX/AVG of an all-NULL (or empty) group is
+    NULL. SUM folds mono-typed int and float columns unboxed, with the
+    same operations in the same order as the generic fold. *)
 
 val hash_groups :
   int array ->
@@ -95,46 +77,51 @@ val join_rows :
     holds the indices of right rows fully matching left row [li]):
     combination, outer-join NULL padding, (anti)semi projection. *)
 
+val keep_where : (Value.t array -> bool) -> Value.t array array -> int array
+(** Ascending indices of the rows satisfying the predicate, tested in
+    input order — a row predicate as a [keep] function for the match
+    functions below. *)
+
 val nested_loops_matches :
-  (Value.t array -> bool) ->
+  (Value.t array array -> int array) ->
   Value.t array array ->
   Value.t array array ->
   int list array
-(** Predicate over the combined row, every pair tested. *)
-
-val hash_build : ridx:int array -> Value.t array array -> int list ref RowTbl.t
-(** Build side of {!hash_matches}: right-row indices by key, NULL keys
-    skipped. *)
-
-val hash_probe_row :
-  int list ref RowTbl.t ->
-  lidx:int array ->
-  residual:(Value.t array -> bool) option ->
-  Value.t array array ->
-  Value.t array ->
-  int list
-(** Probe one left row: matching right indices in right-input order,
-    residual-filtered. Pure per row, so probes parallelize by morsel. *)
+(** [nested_loops_matches keep larr rarr]: one [keep] batch per left row,
+    that row combined with every right row; [keep] returns the ascending
+    indices of the combined rows whose predicate is TRUE. *)
 
 val hash_matches :
   lidx:int array ->
   ridx:int array ->
-  residual:(Value.t array -> bool) option ->
   Value.t array array ->
   Value.t array array ->
   int list array
-(** Equi-join by hashing the right side; NULL keys never match;
-    [residual] (over the combined row) filters matches when present.
-    [hash_build] + [hash_probe_row] per left row. *)
+(** Equi-join candidates by hashing the right side: per left row, the
+    right rows with an equal key, in right-input order. NULL keys never
+    match. *)
 
 val merge_matches :
   lidx:int array ->
   ridx:int array ->
-  residual:(Value.t array -> bool) option ->
   Value.t array array ->
   Value.t array array ->
   int list array
-(** Inner merge join over key-sorted inputs; NULL keys are skipped. *)
+(** Inner merge-join candidates over key-sorted inputs, in right-input
+    order; NULL keys are skipped. *)
+
+val filter_matches :
+  (Value.t array array -> int array) ->
+  Value.t array array ->
+  Value.t array array ->
+  int list array ->
+  int list array
+(** [filter_matches keep larr rarr candidates] applies a join residual:
+    one [keep] batch holding every candidate pair, combined — left rows
+    in order, each row's candidates in right order, the order a per-pair
+    loop would test them. A [keep] that raises at its lowest erroring
+    row therefore raises the pair such a loop would have died on.
+    Returns the kept candidates per left row, order preserved. *)
 
 val distinct_rows : Value.t array array -> Value.t array array
 (** First occurrence of each row, input order preserved. *)

@@ -163,8 +163,16 @@ let compare_one ~slack spec old_v new_v =
       | Ratio | Seconds | Count ->
         (* Band scaled by |old| so a negative baseline (e.g. a measured
            speedup below zero on a noisy box) keeps the band the right
-           way round. *)
+           way round. A higher-is-better band is capped at half of |old|
+           whatever the slack: uncapped, a threshold of 0.1 at slack 10
+           spans the whole baseline and the metric could never regress;
+           capped, a metric that halves does. *)
         let band = spec.threshold *. slack *. Float.abs o in
+        let band =
+          match spec.dir with
+          | Higher_is_better -> Float.min band (0.5 *. Float.abs o)
+          | Lower_is_better -> band
+        in
         let bad, good =
           match spec.dir with
           | Higher_is_better -> (n < o -. band, n > o +. band)

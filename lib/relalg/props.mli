@@ -52,8 +52,12 @@ val env_of : col_info list -> Scalar.env
 
 val keys : Storage.Catalog.t -> Logical.t -> Ident.Set.t list
 (** Candidate keys of the output (conservative under-approximation). A
-    returned [Ident.Set.empty] means the output has at most one row. For an
-    ill-formed tree, returns []. *)
+    returned [Ident.Set.empty] means the output has at most one row. The
+    derivation reads only the operators and the catalog's declared table
+    keys, never the schema, so an ill-formed tree still gets keys: a
+    [Get] of an unknown table has none, but [Filter (pred = 1, Get t1)]
+    reports t1's key. Callers that need a valid tree check {!validate}
+    (or {!schema}) first. *)
 
 val has_key_within : Storage.Catalog.t -> Logical.t -> Ident.Set.t -> bool
 (** [has_key_within cat t cols]: some candidate key of [t] is a subset of

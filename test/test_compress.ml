@@ -275,9 +275,9 @@ let test_shared_vs_per_call_edges () =
     done
   done;
   check int_t "one invocation per edge" (nt * nq) (C.invocations_used shared);
-  (* A query whose shared exploration fails (an unknown table) falls back
-     to one full optimization per edge, which fails too: one exploration
-     plus two per-call invocations, and infinite edges, not errors. *)
+  (* A query whose shared exploration fails (an unknown table) is
+     invalid, so every edge of its column is infinite: one exploration,
+     no further invocation, and infinite edges, not errors. *)
   let fw' = F.create ~options:quick_options cat in
   let targets = [ Su.Single "SelectMerge"; Su.Single "JoinCommute" ] in
   let bad : Su.t =
@@ -290,10 +290,10 @@ let test_shared_vs_per_call_edges () =
       per_target = List.map (fun t -> (t, [ 0 ])) targets }
   in
   let ec = C.edge_costs fw' bad in
-  check bool_t "fallback edges infinite" true
+  check bool_t "invalid query's edges infinite" true
     (C.edge_cost ec ~target_idx:0 ~query_idx:0 = Float.infinity
     && C.edge_cost ec ~target_idx:1 ~query_idx:0 = Float.infinity);
-  check int_t "one exploration, then per-call" 3 (F.invocations fw')
+  check int_t "one exploration, nothing more" 1 (F.invocations fw')
 
 let test_monotonicity_sound_and_cheaper () =
   (* Figure 14's two claims: identical solution quality, fewer optimizer

@@ -292,12 +292,9 @@ let test_fingerprint () =
     <> fp (P.FilterOp { pred = S.Cmp (S.Gt, S.col lk, S.int 2); child = scan_l }));
   check bool_t "non-negative" true (fp (hj L.FullOuter) >= 0)
 
-(* Morsel scheduling must be invisible: for every operator family the
-   batch path must reproduce the interpreter's results whatever the
-   morsel boundaries — a one-row morsel, a size that straddles the
-   4-row tables, one larger than any input — and whatever the pool
-   size. "Identical" here is ordered, not bag: byte-for-byte output is
-   the [--jobs N] contract. *)
+(* Ordered, not bag: byte-for-byte output is the [--jobs N] contract,
+   and the two executor paths share every relational operator, so they
+   must agree row for row. *)
 let rows_identical a b =
   RS.same_cols a b
   && RS.row_count a = RS.row_count b
@@ -305,28 +302,12 @@ let rows_identical a b =
        (fun x y -> RS.compare_rows x y = 0)
        (RS.rows a) (RS.rows b)
 
-let test_batch_morsel_boundaries () =
+let test_batch_rows_identical () =
   List.iteri
     (fun i plan ->
       let want = Result.get_ok (Executor.Exec.run_interpreted cat plan) in
-      List.iter
-        (fun mr ->
-          let got = Result.get_ok (Executor.Exec.run ~morsel_rows:mr cat plan) in
-          check bool_t (Printf.sprintf "plan %d @ morsel_rows %d" i mr) true
-            (rows_identical want got))
-        [ 1; 3; 9999 ])
-    agreement_plans
-
-let test_batch_pool_identical () =
-  let pool = Par.Pool.create ~jobs:2 () in
-  List.iteri
-    (fun i plan ->
-      let seq = Result.get_ok (Executor.Exec.run cat plan) in
-      let par =
-        Result.get_ok (Executor.Exec.run ~pool ~morsel_rows:2 cat plan)
-      in
-      check bool_t (Printf.sprintf "plan %d pooled = sequential" i) true
-        (rows_identical seq par))
+      let got = Result.get_ok (Executor.Exec.run cat plan) in
+      check bool_t (Printf.sprintf "plan %d" i) true (rows_identical want got))
     agreement_plans
 
 let test_batch_empty_input () =
@@ -345,25 +326,18 @@ let test_batch_empty_input () =
   in
   List.iteri
     (fun i plan ->
-      List.iter
-        (fun mr ->
-          check int_t (Printf.sprintf "empty plan %d @ %d" i mr) 0
-            (RS.row_count
-               (Result.get_ok (Executor.Exec.run ~morsel_rows:mr cat plan))))
-        [ 1; 1024 ])
+      check int_t (Printf.sprintf "empty plan %d" i) 0 (rows plan))
     plans;
   (* Global aggregate over empty input still fabricates its one row. *)
   let agg =
     P.HashAggregate { keys = []; aggs = [ (gid, A.CountStar) ]; child = empty }
   in
-  check int_t "empty global agg" 1
-    (RS.row_count (Result.get_ok (Executor.Exec.run ~morsel_rows:1 cat agg)))
+  check int_t "empty global agg" 1 (rows agg)
 
 (* Batch kernels must fail like a sequential row scan: same message,
-   and the *lowest* erroring row's message, independent of morsel size.
-   [l.v + 1] errors on every row; guarding it behind [l.k = 2] errors
-   only on rows 1 and 3 (0-based), so the reported error must be row
-   1's — even when each row is its own morsel. *)
+   and the *lowest* erroring row's message. [l.v + 1] errors on every
+   row; guarding it behind [l.k = 2] errors only on rows 1 and 3
+   (0-based), so the reported error must be row 1's. *)
 let test_batch_error_agreement () =
   let bad_all =
     P.FilterOp
@@ -382,16 +356,90 @@ let test_batch_error_agreement () =
     (fun i plan ->
       match Executor.Exec.run_interpreted cat plan with
       | Ok _ -> Alcotest.fail "interpreter unexpectedly succeeded"
-      | Error want ->
-        List.iter
-          (fun mr ->
-            match Executor.Exec.run ~morsel_rows:mr cat plan with
-            | Ok _ -> Alcotest.fail "batch unexpectedly succeeded"
-            | Error got ->
-              check Alcotest.string
-                (Printf.sprintf "error %d @ morsel_rows %d" i mr) want got)
-          [ 1; 2; 1024 ])
+      | Error want -> (
+        match Executor.Exec.run cat plan with
+        | Ok _ -> Alcotest.fail "batch unexpectedly succeeded"
+        | Error got -> check Alcotest.string (Printf.sprintf "error %d" i) want got))
     [ bad_all; bad_some ]
+
+(* Join residuals: the batch path evaluates them as one kernel batch over
+   every candidate pair, the interpreter pair by pair; both must keep the
+   same pairs in the same order and die on the same pair.
+   a(k, s): (1,p) (2,q) (NULL,t) (1,u) (3,w)
+   b(k, n, w): (2,7,x) (1,0,y) (1,9,z) (1,NULL,v) (NULL,8,n) (3,NULL,m)
+   Key candidates: a0 and a3 -> b1 b2 b3; a1 -> b0; a4 -> b5. *)
+let rcat =
+  let open Schema in
+  let at =
+    make "a" [ column ~nullable:true "k" Datatype.TInt; column "s" Datatype.TString ]
+  in
+  let bt =
+    make "b"
+      [ column ~nullable:true "k" Datatype.TInt;
+        column ~nullable:true "n" Datatype.TInt;
+        column "w" Datatype.TString ]
+  in
+  let i x = Value.Int x and str x = Value.Str x in
+  Catalog.of_tables
+    [ Table.create at
+        [| [| i 1; str "p" |]; [| i 2; str "q" |]; [| Value.Null; str "t" |];
+           [| i 1; str "u" |]; [| i 3; str "w" |] |];
+      Table.create bt
+        [| [| i 2; i 7; str "x" |]; [| i 1; i 0; str "y" |];
+           [| i 1; i 9; str "z" |]; [| i 1; Value.Null; str "v" |];
+           [| Value.Null; i 8; str "n" |]; [| i 3; Value.Null; str "m" |] |] ]
+
+let test_residual_parity () =
+  let scan t = P.TableScan { table = t; alias = t } in
+  let ak = Ident.make "a" "k" and bk = Ident.make "b" "k" in
+  let bn = Ident.make "b" "n" and bw = Ident.make "b" "w" in
+  let sorted key t = P.SortOp { keys = [ (key, L.Asc) ]; child = scan t } in
+  let joins residual =
+    [ ( "hash inner",
+        P.HashJoin
+          { kind = L.Inner; left_keys = [ ak ]; right_keys = [ bk ]; residual;
+            left = scan "a"; right = scan "b" } );
+      ( "hash left outer",
+        P.HashJoin
+          { kind = L.LeftOuter; left_keys = [ ak ]; right_keys = [ bk ];
+            residual; left = scan "a"; right = scan "b" } );
+      ( "merge",
+        P.MergeJoin
+          { left_keys = [ ak ]; right_keys = [ bk ]; residual;
+            left = sorted ak "a"; right = sorted bk "b" } ) ]
+  in
+  (* NOT over a string raises with the value in the message, so the
+     message names the pair. The guard [b.n > 4] is FALSE for b1 and
+     NULL for b3/b5, so a0's pairs with b2 then b3 raise first (b2's
+     message), before a1's pair with b0. *)
+  let raising = S.And (S.Cmp (S.Gt, S.col bn, S.int 4), S.Not (S.col bw)) in
+  List.iter
+    (fun (name, plan) ->
+      match
+        (Executor.Exec.run_interpreted rcat plan, Executor.Exec.run rcat plan)
+      with
+      | Error want, Error got ->
+        check Alcotest.string (name ^ ": lowest erroring pair") want got;
+        check Alcotest.string (name ^ ": pair (a0, b2)")
+          "execution type error: Eval: expected boolean, got 'z'" got
+      | _ -> Alcotest.fail (name ^ ": both paths must fail"))
+    (joins raising);
+  (* [b.n > 8] is NULL for b3 and b5: dropped like FALSE. Only b2
+     matches (for a0 and a3); the outer join pads a1, a2 and a4 — a4's
+     one candidate is NULL. *)
+  let nullish = S.Cmp (S.Gt, S.col bn, S.int 8) in
+  List.iter2
+    (fun (name, plan) (n, padded) ->
+      let want = Result.get_ok (Executor.Exec.run_interpreted rcat plan) in
+      let got = Result.get_ok (Executor.Exec.run rcat plan) in
+      check bool_t (name ^ ": rows identical") true (rows_identical want got);
+      check int_t (name ^ ": rows") n (RS.row_count got);
+      check int_t (name ^ ": padded") padded
+        (Array.fold_left
+           (fun c row -> if Value.is_null row.(4) then c + 1 else c)
+           0 (RS.rows got)))
+    (joins nullish)
+    [ (2, 0); (5, 3); (2, 0) ]
 
 (* The disk tier behind the fingerprint result cache: a store on miss,
    a bag-identical serve once the memory tier is gone. *)
@@ -477,10 +525,10 @@ let suite =
         Alcotest.test_case "result cache disk tier" `Quick
           test_result_cache_disk ] );
     ( "executor.batch",
-      [ Alcotest.test_case "morsel boundaries" `Quick
-          test_batch_morsel_boundaries;
-        Alcotest.test_case "pool output identical" `Quick
-          test_batch_pool_identical;
+      [ Alcotest.test_case "ordered agreement" `Quick
+          test_batch_rows_identical;
         Alcotest.test_case "empty input" `Quick test_batch_empty_input;
         Alcotest.test_case "error agreement" `Quick
-          test_batch_error_agreement ] ) ]
+          test_batch_error_agreement;
+        Alcotest.test_case "join residual parity" `Quick
+          test_residual_parity ] ) ]

@@ -347,6 +347,24 @@ let test_benchdiff_negative_baselines () =
   let fs = B.compare_results ~specs:rspec ~old_doc:(doc (-2.0)) ~new_doc:(doc (-4.0)) () in
   check int_t "worsening negative ratio fires" 1 (regressed fs)
 
+(* A higher-is-better band is capped at half the baseline whatever the
+   slack: at slack 10 a 0.25 ratio band would otherwise span 2.5x the
+   baseline, so no drop could ever fire. *)
+let test_benchdiff_band_cap () =
+  let doc v =
+    Obs.Json.Obj
+      [ ("details", Obs.Json.Obj [ ("matrix", Obs.Json.Obj [ ("speedup", Obs.Json.Float v) ]) ]) ]
+  in
+  let speedup = "details/matrix/speedup" in
+  let status new_v =
+    let fs =
+      B.compare_results ~slack:10.0 ~old_doc:(doc 18.88) ~new_doc:(doc new_v) ()
+    in
+    (List.find (fun (f : B.finding) -> f.spec.B.path = speedup) fs).status
+  in
+  check bool_t "18.88 -> 5 regresses at slack 10" true (status 5.0 = B.Regressed);
+  check bool_t "18.88 -> 12.88 passes at slack 10" true (status 12.88 = B.Passed)
+
 let test_benchdiff_path_selectors () =
   let doc = bench_doc ~speedup:2.5 ~agree:true ~jobs4_identical:true () in
   check bool_t "plain path" true
@@ -397,6 +415,7 @@ let suite =
           test_benchdiff_catches_injected_regression;
         Alcotest.test_case "flags are slack-immune" `Quick
           test_benchdiff_flags_are_slack_immune;
+        Alcotest.test_case "band capped at half" `Quick test_benchdiff_band_cap;
         Alcotest.test_case "missing and improved statuses" `Quick
           test_benchdiff_missing_and_improved;
         Alcotest.test_case "negative baselines" `Quick test_benchdiff_negative_baselines;

@@ -220,40 +220,12 @@ let rec random_scalar g depth : Relalg.Scalar.t =
     | 6 -> S.IsNull (sub ())
     | _ -> S.IsNotNull (sub ())
 
-let prop_compiled_scalar_agrees =
-  QCheck.Test.make ~name:"compiled scalar evaluator agrees with Eval.scalar"
-    ~count:500 seed_arb (fun seed ->
-      let g = Prng.create seed in
-      let e = random_scalar g 4 in
-      let compiled = Executor.Compile.scalar scalar_cols e in
-      List.for_all
-        (fun row ->
-          let env id =
-            if Relalg.Ident.equal id scalar_cols.(0) then row.(0) else row.(1)
-          in
-          let attempt f = try Ok (f ()) with Invalid_argument m -> Error m in
-          match
-            ( attempt (fun () -> Executor.Eval.scalar env e),
-              attempt (fun () -> compiled row) )
-          with
-          | Ok a, Ok b ->
-            Value.compare_total a b = 0
-            || QCheck.Test.fail_reportf "%s vs %s on %s" (Value.to_sql a)
-                 (Value.to_sql b)
-                 (Relalg.Scalar.to_sql e)
-          | Error a, Error b ->
-            a = b
-            || QCheck.Test.fail_reportf "errors differ: %s vs %s" a b
-          | Ok v, Error m | Error m, Ok v ->
-            QCheck.Test.fail_reportf "one path failed (%s), the other gave %s on %s"
-              m (Value.to_sql v) (Relalg.Scalar.to_sql e))
-        (List.init 8 (fun _ -> [| random_value g; random_value g |])))
-
-(* The batch kernels are a third evaluator for the same scalar language:
-   a whole morsel at a time, with unboxed fast paths, selection
-   transformers and per-morsel CSE underneath. They must agree with both
-   row paths on values *and* on errors — same message, and the lowest
-   erroring row's message (what a sequential scan would have raised). *)
+(* The batch kernels are the batch path's one evaluator for the scalar
+   language: a whole batch at a time, with unboxed fast paths, selection
+   transformers and per-batch CSE underneath. They must agree with the
+   interpreter's [Eval] on values *and* on errors — same message, and
+   the lowest erroring row's message (what a sequential scan would have
+   raised). *)
 let prop_batch_scalar_agrees =
   QCheck.Test.make
     ~name:"batch kernels agree with Eval.scalar (values and errors)" ~count:500
@@ -274,16 +246,6 @@ let prop_batch_scalar_agrees =
             attempt (fun () -> Executor.Eval.scalar env e))
           rows
       in
-      let compiled = Executor.Compile.scalar scalar_cols e in
-      Array.iteri
-        (fun i row ->
-          match (by_row.(i), attempt (fun () -> compiled row)) with
-          | Ok a, Ok b when Value.compare_total a b = 0 -> ()
-          | Error a, Error b when a = b -> ()
-          | _ ->
-            QCheck.Test.fail_reportf "compiled differs from Eval on row %d of %s"
-              i (Relalg.Scalar.to_sql e))
-        rows;
       let kernel = Executor.Batch.scalar scalar_cols e in
       (match
          ( attempt (fun () -> Executor.Batch.eval_column kernel rows),
@@ -310,7 +272,7 @@ let prop_batch_scalar_agrees =
           QCheck.Test.fail_reportf "batch error %S, first row error %S on %s"
             got want (Relalg.Scalar.to_sql e)
       | _, Some (Ok _) -> assert false);
-      (* ...and morsel size must be invisible: a one-row morsel per row
+      (* ...and batch size must be invisible: a one-row batch per row
          gives the same column (or the same per-row error). *)
       Array.iteri
         (fun i row ->
@@ -319,7 +281,7 @@ let prop_batch_scalar_agrees =
           | Ok a, Ok [| b |] when Value.compare_total a b = 0 -> ()
           | Error a, Error b when a = b -> ()
           | _ ->
-            QCheck.Test.fail_reportf "singleton morsel differs at row %d on %s"
+            QCheck.Test.fail_reportf "singleton batch differs at row %d on %s"
               i (Relalg.Scalar.to_sql e))
         rows;
       true)
@@ -529,7 +491,6 @@ let suite =
           test_cost_monotone_seeds;
         to_alco prop_plan_columns_match_schema;
         to_alco prop_rule_off_same_results;
-        to_alco prop_compiled_scalar_agrees;
         to_alco prop_batch_scalar_agrees;
         to_alco prop_compiled_plan_agrees;
         to_alco prop_refresh_labels_disjoint;
