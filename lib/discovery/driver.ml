@@ -198,7 +198,7 @@ let fired_total name = Obs.Metrics.counter_total ~label:name "optimizer.rule.fir
 let rank ?(pool = Par.Pool.sequential) ?disk (config : config) cat survivors =
   let rules =
     Optimizer.Rules.all
-    @ List.map (fun ((name, c), _) -> T.to_rule ~name c) survivors
+    @ List.map (fun ((name, c), _) -> Dsl.Rdsl.compile (T.to_rdsl ~name c)) survivors
   in
   let fw = F.create ~options:(rank_options config) ~rules cat in
   let names = List.map (fun ((name, _), _) -> name) survivors in
@@ -281,7 +281,9 @@ let promote ?(pool = Par.Pool.sequential) ?disk (config : config) cat by_name ra
   else begin
     let rules =
       Optimizer.Rules.all
-      @ List.map (fun n -> T.to_rule ~name:n (Hashtbl.find by_name n)) attempted
+      @ List.map
+          (fun n -> Dsl.Rdsl.compile (T.to_rdsl ~name:n (Hashtbl.find by_name n)))
+          attempted
     in
     let fw = F.create ~options:(rank_options config) ~rules cat in
     let g = Storage.Prng.create (config.params.seed + 29) in

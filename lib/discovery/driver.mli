@@ -77,7 +77,7 @@ type report = {
   alphabet : string;
   max_nodes : int;
   raw_candidates : int;  (** pairs generated before dedup *)
-  candidates : int;  (** after hashcons dedup — the validated set *)
+  candidates : int;  (** after normal-form dedup — the validated set *)
   survived : int;
   refuted : int;
   inconclusive : int;

@@ -1,7 +1,5 @@
 module L = Relalg.Logical
 module S = Relalg.Scalar
-module I = Relalg.Ident
-module H = Relalg.Hashcons
 
 type pred = Pvar of int | Pand of int * int
 
@@ -122,34 +120,6 @@ let standardize { lhs; rhs } =
   let l, r = canon_pair oriented in
   { lhs = l; rhs = r }
 
-(* Encoding into the Logical algebra, so dedup goes through the existing
-   hashcons layer: metavariables become placeholder tables/columns.
-   Injective on templates by construction. *)
-let pcol i = S.Col (I.make ("p" ^ string_of_int i) "v")
-
-let encode_pred = function
-  | Pvar i -> pcol i
-  | Pand (i, j) -> S.And (pcol i, pcol j)
-
-let rec encode = function
-  | Rel i -> L.Get { table = "T"; alias = "m" ^ string_of_int i }
-  | Filter (p, c) -> L.Filter { pred = encode_pred p; child = encode c }
-  | Join (v, a, b) ->
-    L.Join
-      { kind = L.Inner;
-        pred = S.Col (I.make ("j" ^ string_of_int v) "v");
-        left = encode a;
-        right = encode b }
-  | Distinct c -> L.Distinct (encode c)
-  | UnionAll (a, b) -> L.UnionAll (encode a, encode b)
-  | Union (a, b) -> L.Union (encode a, encode b)
-  | Intersect (a, b) -> L.Intersect (encode a, encode b)
-  | Except (a, b) -> L.Except (encode a, encode b)
-
-let normal_ids c =
-  let c = standardize c in
-  (H.id (H.intern (encode c.lhs)), H.id (H.intern (encode c.rhs)))
-
 let pred_str = function
   | Pvar i -> Printf.sprintf "p%d" i
   | Pand (i, j) -> Printf.sprintf "p%d&p%d" i j
@@ -249,7 +219,7 @@ let rel_vars n =
 
 (* A pair is worth validating when (a) the sides differ, (b) one side's
    predicate/join-variable set contains the other's (otherwise one side
-   references predicates the other cannot supply — the bridged rule could
+   references predicates the other cannot supply — the compiled rule could
    never instantiate them), and (c) the outputs are statically
    compatible: same relation variables feeding the columns, or — for
    set-operation candidates, which are instantiated over one table so
@@ -343,16 +313,15 @@ let enumerate_counted ?(pool = Par.Pool.sequential) alpha ~max_nodes =
       (fun (_, c) -> if in_alphabet alpha c.lhs && in_alphabet alpha c.rhs then Some c else None)
       seeded_unsound
   in
-  (* Dedup through the hashcons layer: one interned id per side of the
-     standardized pair. First occurrence wins, order is enumeration
-     order, so the output is deterministic. *)
+  (* Dedup on the standardized candidate itself (every pair and seeded
+     candidate already is one). First occurrence wins, order is
+     enumeration order, so the output is deterministic. *)
   let seen = Hashtbl.create 256 in
   let out = ref [] in
   List.iter
     (fun c ->
-      let key = normal_ids c in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
+      if not (Hashtbl.mem seen c) then begin
+        Hashtbl.add seen c ();
         out := c :: !out
       end)
     (pairs @ seeded);
@@ -362,36 +331,14 @@ let enumerate ?pool alpha ~max_nodes =
   fst (enumerate_counted ?pool alpha ~max_nodes)
 
 (* ------------------------------------------------------------------ *)
-(* Bridge to optimizer rules                                           *)
+(* Bridge into the rewrite DSL                                         *)
 
-let rec to_pattern_node = function
-  | Rel _ -> Dsl.Pattern.Any
-  | Filter (_, c) -> Dsl.Pattern.Op (L.KFilter, [ to_pattern_node c ])
-  | Join (_, a, b) ->
-    Dsl.Pattern.Op (L.KJoin L.Inner, [ to_pattern_node a; to_pattern_node b ])
-  | Distinct c -> Dsl.Pattern.Op (L.KDistinct, [ to_pattern_node c ])
-  | UnionAll (a, b) ->
-    Dsl.Pattern.Op (L.KUnionAll, [ to_pattern_node a; to_pattern_node b ])
-  | Union (a, b) ->
-    Dsl.Pattern.Op (L.KUnion, [ to_pattern_node a; to_pattern_node b ])
-  | Intersect (a, b) ->
-    Dsl.Pattern.Op (L.KIntersect, [ to_pattern_node a; to_pattern_node b ])
-  | Except (a, b) ->
-    Dsl.Pattern.Op (L.KExcept, [ to_pattern_node a; to_pattern_node b ])
-
-let to_pattern c = to_pattern_node (standardize c).lhs
-
-(* Wrap [built] so its output schema matches the tree the rule fired on
-   — the same alignment the differential oracle applies, so a validated
-   candidate is promotable by construction. *)
-let align cat matched built =
-  match Triage.Differential.align cat ~reference:matched built with
-  | Ok t -> [ t ]
-  | Error _ -> []
-
-(* Bridge into the rewrite DSL, for the symbolic oracle. Join-predicate
+(* A candidate as a DSL rule: what discovery compiles into engine rules
+   (ranking, promotion) and hands to the symbolic oracle. Join-predicate
    variables land in a predicate-variable namespace disjoint from the
-   filter predicates'. *)
+   filter predicates'. The rhs is aligned to the matched tree's output
+   schema — the alignment the differential oracle applies, so a
+   validated candidate is promotable by construction. *)
 let join_pv v = 1000 + v
 
 let to_rdsl ?name c =
@@ -412,71 +359,4 @@ let to_rdsl ?name c =
     | Except (a, b) -> R.Except (go a, go b)
   in
   let name = match name with Some n -> n | None -> name_of c in
-  { R.name; lhs = go c.lhs; rhs = go c.rhs; sides = [] }
-
-let to_rule ?name c =
-  let c = standardize c in
-  let name = match name with Some n -> n | None -> name_of c in
-  let pattern = to_pattern c in
-  let apply cat tree =
-    let rels : (int, L.t) Hashtbl.t = Hashtbl.create 4 in
-    let preds : (int, S.t) Hashtbl.t = Hashtbl.create 4 in
-    let joins : (int, S.t) Hashtbl.t = Hashtbl.create 4 in
-    let bind tbl eq k v =
-      match Hashtbl.find_opt tbl k with
-      | Some v' -> eq v v'
-      | None ->
-        Hashtbl.add tbl k v;
-        true
-    in
-    let rec mtch t q =
-      match (t, q) with
-      | Rel i, _ -> bind rels L.equal i q
-      | Filter (Pvar i, ct), L.Filter { pred; child } ->
-        bind preds S.equal i pred && mtch ct child
-      | Filter (Pand (i, j), ct), L.Filter { pred; child } -> (
-        match S.conjuncts pred with
-        | a :: (_ :: _ as rest) ->
-          bind preds S.equal i a
-          && bind preds S.equal j (S.conj rest)
-          && mtch ct child
-        | _ -> false)
-      | Join (v, lt, rt), L.Join { kind = L.Inner; pred; left; right } ->
-        bind joins S.equal v pred && mtch lt left && mtch rt right
-      | Distinct ct, L.Distinct cq -> mtch ct cq
-      | UnionAll (a, b), L.UnionAll (x, y) -> mtch a x && mtch b y
-      | Union (a, b), L.Union (x, y) -> mtch a x && mtch b y
-      | Intersect (a, b), L.Intersect (x, y) -> mtch a x && mtch b y
-      | Except (a, b), L.Except (x, y) -> mtch a x && mtch b y
-      | _ -> false
-    in
-    if not (mtch c.lhs tree) then []
-    else
-      let pred_of = function
-        | Pvar i -> Hashtbl.find preds i
-        | Pand (i, j) -> S.And (Hashtbl.find preds i, Hashtbl.find preds j)
-      in
-      let rec build = function
-        | Rel i -> Hashtbl.find rels i
-        | Filter (p, ct) -> L.Filter { pred = pred_of p; child = build ct }
-        | Join (v, a, b) ->
-          L.Join
-            { kind = L.Inner;
-              pred = Hashtbl.find joins v;
-              left = build a;
-              right = build b }
-        | Distinct ct -> L.Distinct (build ct)
-        | UnionAll (a, b) -> L.UnionAll (build a, build b)
-        | Union (a, b) -> L.Union (build a, build b)
-        | Intersect (a, b) -> L.Intersect (build a, build b)
-        | Except (a, b) -> L.Except (build a, build b)
-      in
-      match build c.rhs with
-      | exception Not_found -> []
-      | built -> align cat tree built
-  in
-  let fingerprint =
-    Digest.to_hex (Digest.string ("template\x00" ^ name ^ "\x00" ^ display c))
-  in
-  Optimizer.Rule.make ~fingerprint name pattern (fun cat (n : H.node) ->
-      List.map H.intern (apply cat n.repr))
+  { R.name; lhs = go c.lhs; rhs = R.Align (go c.rhs); sides = [] }

@@ -6,9 +6,10 @@
     boolean scalars) and join-predicate variables. Enumeration is bounded
     by operator count and an operator alphabet; every pair is then
     {e standardized} — oriented and variable-renumbered into a normal
-    form — so symmetric and alpha-equivalent candidates collapse, and the
-    normal form's encoding as a [Logical] tree is interned through
-    {!Relalg.Hashcons} so dedup is one id comparison per side. *)
+    form — so symmetric and alpha-equivalent candidates collapse, and
+    dedup compares normal forms structurally. Candidates are pure data:
+    {!to_rdsl} turns one into a rewrite-DSL term, which is how discovery
+    compiles, ranks and verifies it. *)
 
 type pred =
   | Pvar of int
@@ -54,11 +55,6 @@ val standardize : candidate -> candidate
     lhs-then-rhs preorder walk. Idempotent; invariant under swapping the
     sides and under injective renaming of the variables. *)
 
-val normal_ids : candidate -> int * int
-(** Hash-cons ids of the standardized sides' {!Logical} encodings —
-    the dedup key. Ids are domain-local: compare ids obtained on one
-    domain only, and never persist them. *)
-
 val display : candidate -> string
 (** Compact rendering, e.g. ["F[p0](F[p1](R0)) -> F[p0&p1](R0)"]. *)
 
@@ -91,20 +87,14 @@ val seeded_unsound : (string * candidate) list
 val rediscovered_name : candidate -> string option
 val seeded_name : candidate -> string option
 
-val to_pattern : candidate -> Dsl.Pattern.t
-(** Pattern of the standardized lhs ([Any] at relation variables). *)
-
 val to_rdsl : ?name:string -> candidate -> Dsl.Rdsl.rule
-(** Bridge into the rewrite DSL for the symbolic small-scope oracle:
-    filter/join predicate variables become DSL predicate metavariables
-    (join variables in a disjoint namespace), relation variables become
-    relation metavariables, with no side-conditions. *)
-
-val to_rule : ?name:string -> candidate -> Optimizer.Rule.t
-(** Bridge into a real optimizer rule: match the lhs template (binding
-    relation subtrees and predicates), build the rhs, and re-align the
-    output schema to the matched tree's (identity projection when only
-    column order changed, positional rename when the sides export
-    different columns of equal type). [apply] returns [] whenever the
-    match or the alignment fails. The rule's content fingerprint digests
-    its name and the standardized candidate's canonical rendering. *)
+(** The standardized candidate as a rewrite-DSL rule (named [name], by
+    default {!name_of}): filter/join predicate variables become DSL
+    predicate metavariables (join variables in a disjoint namespace),
+    relation variables become relation metavariables, a [Pand] lhs
+    filter splits the matched predicate's conjuncts, and the rhs is
+    wrapped in [Align] so it exports the matched tree's output schema
+    (the rule does not fire where it cannot). No side-conditions.
+    [Dsl.Rdsl.compile (to_rdsl ~name c)] is the engine rule discovery
+    ranks and promotes, fingerprinted by the term's digest;
+    [Dsl.Rdsl.Verify.verify] checks the same term symbolically. *)

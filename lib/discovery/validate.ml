@@ -255,7 +255,7 @@ let assign_joins (ctx : A.ctx) cat join_occ =
   in
   assign [] vars
 
-let instantiate _params cat g ~mode cand =
+let instantiate cat g ~mode cand =
   let ctx = { A.g; cat } in
   let rels = assign_rels ctx ~mode cand in
   let pred_occ, join_occ = occurrences rels cand in
@@ -288,7 +288,7 @@ let run_one params cat ~index (name, cand) =
   let last_err = ref "no valid instantiation" in
   let inst = ref 0 in
   while !inst < params.trials && !refut = None do
-    (match instantiate params cat g ~mode:(mode_of_instance !inst) cand with
+    (match instantiate cat g ~mode:(mode_of_instance !inst) cand with
     | None -> ()
     | Some (asn, l, r) -> (
       incr checks;

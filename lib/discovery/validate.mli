@@ -64,7 +64,6 @@ val mode_of_instance : int -> mode
     {!Random}. *)
 
 val instantiate :
-  params ->
   Storage.Catalog.t ->
   Storage.Prng.t ->
   mode:mode ->

@@ -4,11 +4,13 @@
    set-theoretic verification oracle over symbolic tables (module
    [Verify]).
 
-   Every registered exploration rule is a term of this language. The
-   compiler's construct-by-construct semantics are pinned by a golden
-   digest of every registered rule's substitutes over a fixed tree set
-   (test/test_dsl.ml), computed when the last families were still
-   hand-written closures. *)
+   Every registered exploration rule, seeded fault and discovered rule
+   is a term of this language. The compiler's construct-by-construct
+   semantics are pinned by two golden substitute digests over fixed
+   tree sets (test/test_dsl.ml): the registered rules', computed when
+   the last families were still hand-written closures, and the
+   discovered rules', computed when they still had their own matcher
+   and builder. *)
 
 open Relalg
 module L = Logical
@@ -53,13 +55,18 @@ type dexp = Dvar of dv | Dcompose of dv * dv | Drename of rv * rv
    relation, or only the keys that are a relation's columns. *)
 type gkeys = Gkeys | Gkeys_with of rv | Gkeys_within of rv
 
-(* Tree terms. On the lhs, [Filter]/[Join] must carry a [Pvar] binder,
-   [Proj] a [Dvar] binder, [Sort] binds its keys, and [GroupBy Gkeys]
-   binds the keys/aggs slot. [Filter_nontrivial] (rhs only) wraps a
-   filter only when its predicate is not [true]; [Keep_schema] (rhs only)
-   is the identity projection restoring the lhs root's output columns;
-   [Degenerate] (rhs only) is the bound GroupBy over single-row groups:
-   the keys and each aggregate's value on its one row. *)
+(* Tree terms. On the lhs, [Filter]/[Join] must carry a [Pvar] binder
+   (a [Filter] may instead carry [Pand (Pvar i, Pvar j)], binding the
+   predicate's first conjunct to [i] and the rest to [j]), [Proj] a
+   [Dvar] binder, [Sort] binds its keys, and [GroupBy Gkeys] binds the
+   keys/aggs slot; a relation or predicate variable bound twice must
+   match equal values. [Filter_nontrivial] (rhs only) wraps a filter
+   only when its predicate is not [true]; [Keep_schema] (rhs only) is
+   the identity projection restoring the lhs root's output columns;
+   [Align] (rhs only) makes its term export the lhs root's schema
+   ([Rule.align]), or the rule does not fire; [Degenerate] (rhs only) is
+   the bound GroupBy over single-row groups: the keys and each
+   aggregate's value on its one row. *)
 type term =
   | Var of rv
   | Filter of pexp * term
@@ -75,6 +82,7 @@ type term =
   | Intersect of term * term
   | Except of term * term
   | Keep_schema of term
+  | Align of term
 
 (* Side-conditions. The first group is semantic (the rewrite is unsound
    without them; the oracle models them); the second is firing-only (they
@@ -127,14 +135,14 @@ let rec pattern_of_term = function
   | Intersect (a, b) ->
     Pattern.Op (L.KIntersect, [ pattern_of_term a; pattern_of_term b ])
   | Except (a, b) -> Pattern.Op (L.KExcept, [ pattern_of_term a; pattern_of_term b ])
-  | Keep_schema t -> pattern_of_term t
+  | Keep_schema t | Align t -> pattern_of_term t
 
 let pattern r = pattern_of_term r.lhs
 
 let rec term_rvars = function
   | Var r -> [ r ]
   | Filter (_, t) | Filter_nontrivial (_, t) | Proj (_, t) | GroupBy (_, t)
-  | Degenerate t | Sort (_, t) | Distinct t | Keep_schema t ->
+  | Degenerate t | Sort (_, t) | Distinct t | Keep_schema t | Align t ->
     term_rvars t
   | Join (_, _, a, b) | UnionAll (a, b) | Union (a, b) | Intersect (a, b)
   | Except (a, b) ->
@@ -153,7 +161,7 @@ let agg_rv = -1
 let rec output_rvs = function
   | Var r -> [ r ]
   | Filter (_, t) | Filter_nontrivial (_, t) | Proj (_, t) | Sort (_, t)
-  | Distinct t | Keep_schema t ->
+  | Distinct t | Keep_schema t | Align t ->
     output_rvs t
   | GroupBy (Gkeys_within r, _) -> [ agg_rv; r ]
   | GroupBy ((Gkeys | Gkeys_with _), t) | Degenerate t -> agg_rv :: output_rvs t
@@ -165,7 +173,7 @@ let rec output_rvs = function
 let rec keyed_rvs = function
   | Var _ -> []
   | Filter (_, t) | Filter_nontrivial (_, t) | Proj (_, t) | Sort (_, t)
-  | Distinct t | Keep_schema t ->
+  | Distinct t | Keep_schema t | Align t ->
     keyed_rvs t
   | GroupBy (Gkeys, t) | Degenerate t ->
     List.filter (fun r -> r <> agg_rv) (output_rvs t)
@@ -199,15 +207,40 @@ let defs env d = List.assoc d env.defs
 
 exception No_match
 
+(* A variable bound a second time must meet an equal value: the same
+   node for a relation (hash-consing makes that [==]), an [S.equal]
+   scalar for a predicate. The lookup compares ints directly: it runs
+   on every binding of every rule the engine tries. *)
+let rec bound (v : int) = function
+  | [] -> None
+  | (v', x) :: rest -> if v = v' then Some x else bound v rest
+
+let bind_rel env r n =
+  match bound r env.rels with
+  | Some n' -> if n' != n then raise No_match
+  | None -> env.rels <- (r, n) :: env.rels
+
+let bind_pred env p e =
+  match bound p env.preds with
+  | Some e' -> if not (S.equal e' e) then raise No_match
+  | None -> env.preds <- (p, e) :: env.preds
+
 let rec match_lhs env t (n : H.node) =
   let kid i = n.H.kids.(i) in
   match (t, n.H.repr) with
-  | Var r, _ -> env.rels <- (r, n) :: env.rels
+  | Var r, _ -> bind_rel env r n
   | Filter (Pvar p, t'), L.Filter { pred; _ } ->
-    env.preds <- (p, pred) :: env.preds;
+    bind_pred env p pred;
     match_lhs env t' (kid 0)
+  | Filter (Pand (Pvar i, Pvar j), t'), L.Filter { pred; _ } -> (
+    match S.conjuncts pred with
+    | first :: (_ :: _ as rest) ->
+      bind_pred env i first;
+      bind_pred env j (S.conj rest);
+      match_lhs env t' (kid 0)
+    | _ -> raise No_match)
   | Join (k, Pvar p, a, b), L.Join { kind; pred; _ } when kind = k ->
-    env.preds <- (p, pred) :: env.preds;
+    bind_pred env p pred;
     match_lhs env a (kid 0);
     match_lhs env b (kid 1)
   | Proj (Dvar d, t'), L.Project { cols; _ } ->
@@ -370,6 +403,10 @@ let rec build env = function
   | Except (a, b) -> op2 (fun l r -> L.Except (l, r)) (build env a) (build env b)
   | Keep_schema t ->
     op1 (Rule.identity_project (schema_exn env env.root)) (build env t)
+  | Align t -> (
+    match Rule.align env.cat ~reference:env.root (build env t) with
+    | Ok n -> n
+    | Error _ -> raise Build_failed)
 
 (* One application of the rule at the root of [n]: matching, side
    checks, rhs construction. [None] when the rule does not fire. *)
@@ -444,6 +481,7 @@ let rec term_to_string = function
     Printf.sprintf "Intersect(%s, %s)" (term_to_string a) (term_to_string b)
   | Except (a, b) -> Printf.sprintf "Except(%s, %s)" (term_to_string a) (term_to_string b)
   | Keep_schema t -> Printf.sprintf "Project[lhs-schema](%s)" (term_to_string t)
+  | Align t -> Printf.sprintf "Align(%s)" (term_to_string t)
 
 let side_to_string = function
   | Null_rejecting (p, rvs) ->
@@ -528,6 +566,7 @@ let rec map_term_pexp f = function
   | Intersect (a, b) -> Intersect (map_term_pexp f a, map_term_pexp f b)
   | Except (a, b) -> Except (map_term_pexp f a, map_term_pexp f b)
   | Keep_schema t -> Keep_schema (map_term_pexp f t)
+  | Align t -> Align (map_term_pexp f t)
 
 (* Apply [rewrite] at each rewritable pexp site of the rhs, one site per
    mutant. [rewrite] returns [Some e'] on sites it applies to. *)
@@ -631,7 +670,7 @@ module Verify = struct
     | Filter (e, t) | Filter_nontrivial (e, t) -> e :: term_pexps t
     | Join (_, e, a, b) -> (e :: term_pexps a) @ term_pexps b
     | Proj (_, t) | GroupBy (_, t) | Degenerate t | Sort (_, t) | Distinct t
-    | Keep_schema t ->
+    | Keep_schema t | Align t ->
       term_pexps t
     | UnionAll (a, b) | Union (a, b) | Intersect (a, b) | Except (a, b) ->
       term_pexps a @ term_pexps b
@@ -666,7 +705,7 @@ module Verify = struct
   let rec setop_pairs = function
     | Var _ -> []
     | Filter (_, t) | Filter_nontrivial (_, t) | Proj (_, t) | GroupBy (_, t)
-    | Degenerate t | Sort (_, t) | Distinct t | Keep_schema t ->
+    | Degenerate t | Sort (_, t) | Distinct t | Keep_schema t | Align t ->
       setop_pairs t
     | Join (_, e, a, b) ->
       (match e with Prow_eq (x, y) -> [ (x, y) ] | _ -> []) @ setop_pairs a @ setop_pairs b
@@ -680,7 +719,7 @@ module Verify = struct
     | Var _ -> []
     | GroupBy (Gkeys, t) -> t :: gb_children t
     | Filter (_, t) | Filter_nontrivial (_, t) | Proj (_, t) | GroupBy (_, t)
-    | Degenerate t | Sort (_, t) | Distinct t | Keep_schema t ->
+    | Degenerate t | Sort (_, t) | Distinct t | Keep_schema t | Align t ->
       gb_children t
     | Join (_, _, a, b) | UnionAll (a, b) | Union (a, b) | Intersect (a, b)
     | Except (a, b) ->
@@ -690,7 +729,7 @@ module Verify = struct
     | Var _ -> false
     | GroupBy _ | Degenerate _ -> true
     | Filter (_, t) | Filter_nontrivial (_, t) | Proj (_, t) | Sort (_, t)
-    | Distinct t | Keep_schema t ->
+    | Distinct t | Keep_schema t | Align t ->
       has_grouping t
     | Join (_, _, a, b) | UnionAll (a, b) | Union (a, b) | Intersect (a, b)
     | Except (a, b) ->
@@ -790,7 +829,7 @@ module Verify = struct
           in
           walk (walk acc a) b
         | Proj (_, t) | GroupBy (_, t) | Degenerate t | Sort (_, t) | Distinct t
-        | Keep_schema t ->
+        | Keep_schema t | Align t ->
           walk acc t
         | UnionAll (a, b) | Union (a, b) | Intersect (a, b) | Except (a, b) ->
           walk (walk acc a) b
@@ -1067,6 +1106,10 @@ module Verify = struct
         (List.sort_uniq compare (List.map fst tagged))
     | Degenerate t' -> List.map (fun row -> group_row ctx (group_key ctx row) [ row ]) (eval ctx t')
     | Sort (_, t') -> eval ctx t'
+    | Align t' ->
+      (* column bookkeeping, as for [Drename]: rows are keyed by
+         universe, not by column identity *)
+      eval ctx t'
     | Distinct t' -> List.sort_uniq compare (eval ctx t')
     | UnionAll (a, b) ->
       (* branches share a universe and rows are keyed by its

@@ -4,8 +4,8 @@
     a rule to the engine's [Rule.t]; and a bounded symbolic verification
     oracle ([Verify]) that checks both sides set-theoretically over small
     symbolic tables with distinguished rows and NULLs — no executor
-    involved. Every registered exploration rule is a term of this
-    language. *)
+    involved. Every registered exploration rule, every seeded fault and
+    every rule mined by discovery is a term of this language. *)
 
 type rv = int
 (** Relation metavariable (rendered A, B, C). *)
@@ -58,12 +58,23 @@ type gkeys =
 
 (** Tree terms. On the lhs, [Filter]/[Join] must bind a [Pvar], [Proj] a
     [Dvar], [Sort] binds its keys, and [GroupBy Gkeys] binds the
-    keys/aggs slot. Rhs-only: a [Filter_nontrivial] is emitted only when
-    its predicate is non-trivial; [Keep_schema] is the identity
-    projection restoring the lhs root's output columns; [Degenerate] is
-    the bound GroupBy over single-row groups — a projection of the keys
-    and of each aggregate's value on one row (SUM/MIN/MAX their
-    argument, COUNT-star 1; the rule does not fire on COUNT or AVG). *)
+    keys/aggs slot. An lhs [Filter (Pand (Pvar i, Pvar j), t)] splits
+    the predicate's conjuncts: the first binds [i], the conjunction of
+    the rest binds [j], and a predicate with fewer than two conjuncts
+    does not match. A repeated variable means equality: a relation
+    variable bound again must meet the same node, a predicate variable
+    an [S.equal] predicate, or the rule does not fire.
+    Rhs-only: a [Filter_nontrivial] is emitted only when its predicate
+    is non-trivial; [Keep_schema] is the identity projection restoring
+    the lhs root's output columns; [Align t] makes [t] export the lhs
+    root's schema with {!Rule.align} — [t] itself, an identity
+    projection or a positional rename — and the rule does not fire when
+    the schemas are incomparable or either is ill-formed (so an rhs
+    whose predicates read out-of-scope columns never fires);
+    [Degenerate] is the bound GroupBy over single-row groups — a
+    projection of the keys and of each aggregate's value on one row
+    (SUM/MIN/MAX their argument, COUNT-star 1; the rule does not fire
+    on COUNT or AVG). *)
 type term =
   | Var of rv
   | Filter of pexp * term
@@ -79,6 +90,7 @@ type term =
   | Intersect of term * term
   | Except of term * term
   | Keep_schema of term
+  | Align of term
 
 (** Side-conditions. All but the last two are semantic — the rewrite is
     unsound without them, and [Verify] models them as constraints (all
@@ -130,11 +142,13 @@ val compile : rule -> Rule.t
     built this way.
     The compiled rule's [fingerprint] is {!fingerprint}[ r], so editing
     any part of the definition (lhs, rhs, side conditions) changes the
-    rule's content identity. *)
+    rule's content identity. This is the only constructor of engine
+    rules in the library: registered rules, seeded faults and
+    discovered rules all come through here. *)
 
 val fingerprint : rule -> string
 (** Content digest of the rule's deterministic {!to_string} rendering —
-    the fingerprint of every registered rule. *)
+    the fingerprint of every registered and every discovered rule. *)
 
 val mutations : rule -> (string * rule) list
 (** Systematically broken variants (dropped side-conditions, dropped
@@ -177,7 +191,10 @@ module Verify : sig
       verifies sound. Semantic side-conditions constrain the enumeration — key
       sides to duplicate-free instances and injective groupings, predicate
       sides to what a predicate atom may read; firing-only ones are
-      ignored. Deterministic. *)
+      ignored. Column renames ([Drename], [Align]) are bookkeeping that
+      leaves rows unchanged, and [Align] is assumed to succeed: the
+      oracle does not model when an rhs fails to align, so it checks a
+      superset of the cases a rule fires on. Deterministic. *)
 
   val verdict_to_string : verdict -> string
 end

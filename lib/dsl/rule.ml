@@ -101,6 +101,26 @@ let identity_project cols child =
     { cols = List.map (fun (c : Props.col_info) -> (c.id, Scalar.Col c.id)) cols;
       child }
 
+let align cat ~reference (n : Hashcons.node) =
+  match (Props.Node.schema cat reference, Props.Node.schema cat n) with
+  | Error e, _ -> Error ("lhs schema: " ^ e)
+  | _, Error e -> Error ("rhs schema: " ^ e)
+  | Ok ls, Ok rs ->
+    let ids cols = List.map (fun (c : Props.col_info) -> c.id) cols in
+    let lid = ids ls and rid = ids rs in
+    let over payload = Ok (Hashcons.make payload [| n |]) in
+    if List.equal Ident.equal lid rid then Ok n
+    else if Ident.Set.equal (Ident.Set.of_list lid) (Ident.Set.of_list rid) then
+      over (identity_project ls n.repr)
+    else if
+      List.length ls = List.length rs
+      && List.for_all2 (fun (a : Props.col_info) (b : Props.col_info) -> a.ty = b.ty) ls rs
+    then
+      over
+        (Logical.Project
+           { cols = List.map2 (fun l r -> (l, Scalar.Col r)) lid rid; child = n.repr })
+    else Error "incomparable output schemas"
+
 let null_safe_row_eq left_cols right_cols =
   let pair (a : Props.col_info) (b : Props.col_info) =
     let ca = Scalar.Col a.id and cb = Scalar.Col b.id in

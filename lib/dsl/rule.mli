@@ -15,8 +15,8 @@ type t = {
   fingerprint : string;
       (** Content digest identifying this rule's {e behaviour}, not just
           its name, as stated by the code constructing the rule ({!make}'s
-          [~fingerprint]): registered rules digest their full [Rdsl] term,
-          discovered rules their candidate's canonical form. Editing a
+          [~fingerprint]): registered, faulty and discovered rules alike
+          digest their full [Rdsl] term. Editing a
           rule's definition under the same name changes the digest.
           Incremental maintenance and the warm-start matrix key are built
           on this. *)
@@ -42,7 +42,8 @@ val make :
 
     [~fingerprint] is the rule's content digest; the caller states it
     because only the caller knows what the rule's content is —
-    [Rdsl.compile] passes the digest of the DSL term. *)
+    [Rdsl.compile], the library's one caller, passes the digest of the
+    DSL term. *)
 
 val collect_matched : (unit -> 'a) -> 'a * string list
 (** [collect_matched f] runs [f] with a domain-local collector installed
@@ -89,6 +90,20 @@ val identity_project :
   Relalg.Props.col_info list -> Relalg.Logical.t -> Relalg.Logical.t
 (** Project re-exporting exactly the given columns (used by rules that
     change column order and must restore it). *)
+
+val align :
+  Storage.Catalog.t ->
+  reference:Relalg.Hashcons.node ->
+  Relalg.Hashcons.node ->
+  (Relalg.Hashcons.node, string) result
+(** [align cat ~reference n] makes [n] export [reference]'s output
+    schema: [n] itself when the column idents agree in order, an
+    identity projection when only their order differs, a positional
+    rename when arities and column types agree. [Error] when the
+    schemas are incomparable or either tree is ill-formed. The
+    differential oracle aligns a candidate's rhs instance with it, and
+    a discovered rule's [Rdsl.Align] rhs aligns its output to the tree
+    it fired on, so the oracle accepts exactly what the rule can do. *)
 
 val null_safe_row_eq :
   Relalg.Props.col_info list -> Relalg.Props.col_info list -> Relalg.Scalar.t

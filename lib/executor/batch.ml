@@ -27,6 +27,25 @@ module Ident = Relalg.Ident
    is raised — exactly the row a sequential scan would have died on. *)
 
 (* ------------------------------------------------------------------ *)
+(* Row layouts                                                         *)
+(* ------------------------------------------------------------------ *)
+
+exception Compile_error of string
+
+(* Column references become array offsets when the plan is compiled, so
+   an unknown column is reported before a single row is produced. *)
+let column_index (cols : Ident.t array) id =
+  let n = Array.length cols in
+  let rec go i =
+    if i = n then raise (Compile_error ("unknown column " ^ Ident.to_sql id))
+    else if Ident.equal cols.(i) id then i
+    else go (i + 1)
+  in
+  go 0
+
+let key_indices cols keys = Array.of_list (List.map (column_index cols) keys)
+
+(* ------------------------------------------------------------------ *)
 (* Batch context                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -126,7 +145,7 @@ let rec float_plan cols (e : S.t) : fexpr option =
   match e with
   | S.Const (Value.Float f) when not (Float.is_nan f) -> Some (FConst f)
   | S.Const Value.Null -> Some FNull
-  | S.Col id -> Some (FCol (Compile.column_index cols id))
+  | S.Col id -> Some (FCol (column_index cols id))
   | S.Neg a -> Option.map (fun fa -> FNeg fa) (float_plan cols a)
   | S.Arith (op, a, b) -> (
     match (float_plan cols a, float_plan cols b) with
@@ -465,10 +484,10 @@ let map2_ord (rl : bool) (f : Value.t -> Value.t -> Value.t) (ka : kernel)
     (kb : kernel) : kernel =
  fun ctx sel ->
   (* Operand evaluation order decides which error wins a row when both
-     sides fail, so it must copy the row paths node for node: [Cmp]
-     binds left-to-right explicitly ([Compile.scalar]), but [Arith] in
-     both row paths is a plain application [f (eval a) (eval b)] — and
-     OCaml evaluates function arguments right to left. *)
+     sides fail, so it must copy the row path ([Eval.scalar]) node for
+     node: [Cmp] binds its operands left to right, but [Arith] is a
+     plain application [f (eval a) (eval b)] — and OCaml evaluates
+     function arguments right to left. *)
   let ca, cb =
     if rl then
       let cb = kb ctx sel in
@@ -500,7 +519,7 @@ let rec scalar (cols : Ident.t array) (e : S.t) : kernel =
   match e with
   | S.Const v -> fun ctx _sel -> Array.make ctx.n v
   | S.Col id ->
-    let c = Compile.column_index cols id in
+    let c = column_index cols id in
     fun ctx sel ->
       let out = Array.make ctx.n Value.Null in
       let len = Array.length sel in
@@ -738,7 +757,7 @@ let fetcher cols (e : S.t) : (ctx -> int -> Value.t) option =
   match e with
   | S.Const v -> Some (fun _ _ -> v)
   | S.Col id ->
-    let c = Compile.column_index cols id in
+    let c = column_index cols id in
     Some (fun ctx i -> (Array.unsafe_get ctx.rows i).(c))
   | _ -> None
 
@@ -982,7 +1001,7 @@ type t = { cols : Ident.t array; gen : unit -> Value.t array array }
 let check_arity a b =
   if Array.length a.cols <> Array.length b.cols then
     raise
-      (Compile.Compile_error
+      (Compile_error
          (Printf.sprintf "set operation arity mismatch: %d vs %d"
             (Array.length a.cols) (Array.length b.cols)))
 
@@ -1018,7 +1037,7 @@ let rec node catalog (p : P.t) : t =
     | P.TableScan { table; alias } -> (
       match Catalog.find catalog table with
       | None ->
-        raise (Compile.Compile_error (Printf.sprintf "unknown table %s" table))
+        raise (Compile_error (Printf.sprintf "unknown table %s" table))
       | Some tb ->
         let cols =
           Array.of_list
@@ -1055,8 +1074,8 @@ let rec node catalog (p : P.t) : t =
               (Relops.nested_loops_matches (keep sf) larr rarr)) }
     | P.HashJoin { kind; left_keys; right_keys; residual; left; right } ->
       let l = sub left and r = sub right in
-      let lidx = Compile.key_indices l.cols left_keys in
-      let ridx = Compile.key_indices r.cols right_keys in
+      let lidx = key_indices l.cols left_keys in
+      let ridx = key_indices r.cols right_keys in
       let res = residual_filter (Array.append l.cols r.cols) residual in
       let la = Array.length l.cols and ra = Array.length r.cols in
       { cols = Relops.join_cols kind l.cols r.cols;
@@ -1067,8 +1086,8 @@ let rec node catalog (p : P.t) : t =
               (res larr rarr (Relops.hash_matches ~lidx ~ridx larr rarr))) }
     | P.MergeJoin { left_keys; right_keys; residual; left; right } ->
       let l = sub left and r = sub right in
-      let lidx = Compile.key_indices l.cols left_keys in
-      let ridx = Compile.key_indices r.cols right_keys in
+      let lidx = key_indices l.cols left_keys in
+      let ridx = key_indices r.cols right_keys in
       let res = residual_filter (Array.append l.cols r.cols) residual in
       let la = Array.length l.cols and ra = Array.length r.cols in
       { cols = Relops.join_cols L.Inner l.cols r.cols;
@@ -1083,7 +1102,7 @@ let rec node catalog (p : P.t) : t =
       node_agg (sub child) keys aggs Relops.stream_groups
     | P.SortOp { keys; child } ->
       let c = sub child in
-      let kidx = Compile.key_indices c.cols (List.map fst keys) in
+      let kidx = key_indices c.cols (List.map fst keys) in
       let dirs = Array.of_list (List.map snd keys) in
       let cmp = Relops.sort_compare kidx dirs in
       { cols = c.cols;
@@ -1146,7 +1165,7 @@ let rec node catalog (p : P.t) : t =
    every group's members are one batch ([Relops.make_agg] folds the
    column). *)
 and node_agg c keys aggs group =
-  let kidx = Compile.key_indices c.cols keys in
+  let kidx = key_indices c.cols keys in
   let column e = eval_column (scalar c.cols e) in
   let agg_fns =
     Array.of_list (List.map (fun (_, a) -> Relops.make_agg column a) aggs)

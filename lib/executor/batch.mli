@@ -22,6 +22,11 @@
 
 open Storage
 
+exception Compile_error of string
+(** Static plan error: unknown table or column, set-operation arity
+    mismatch. Raised while compiling ({!scalar}, {!plan}), never while
+    rows are produced. *)
+
 type ctx
 (** Evaluation context for one batch: the rows plus per-row error slots
     shared by all expressions of one operator. *)
@@ -33,7 +38,7 @@ type kernel = ctx -> int array -> Value.t array
 
 val scalar : Relalg.Ident.t array -> Relalg.Scalar.t -> kernel
 (** Compile an expression against a row layout. Raises
-    {!Compile.Compile_error} on unknown columns, at compile time. *)
+    {!Compile_error} on unknown columns, at compile time. *)
 
 val eval_column : kernel -> Value.t array array -> Value.t array
 (** Evaluate over one whole batch and materialize: the column, or the
@@ -48,6 +53,6 @@ type t = { cols : Relalg.Ident.t array; gen : unit -> Value.t array array }
 val plan : Storage.Catalog.t -> Optimizer.Physical.t -> t
 (** Compile a plan to batch kernels, reporting every static error
     (unknown table or column, set-operation arity mismatch) as
-    {!Compile.Compile_error} before any row is produced. Each operator
+    {!Compile_error} before any row is produced. Each operator
     feeds the [exec.rows]/[exec.operators] counters, labelled by
     {!Optimizer.Physical.op_name}. *)

@@ -218,7 +218,7 @@ let run catalog plan =
     end
     else Ok (materialize (compile ()))
   with
-  | Compile.Compile_error msg | Relops.Exec_error msg -> Error msg
+  | Batch.Compile_error msg | Relops.Exec_error msg -> Error msg
   | Invalid_argument msg -> Error ("execution type error: " ^ msg)
 
 let run_logical ?options catalog tree =

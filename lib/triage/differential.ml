@@ -1,33 +1,9 @@
-module L = Relalg.Logical
-module S = Relalg.Scalar
-module I = Relalg.Ident
+module H = Relalg.Hashcons
 module P = Relalg.Props
 module RS = Executor.Resultset
 
 let checks_c = Obs.Metrics.counter "triage.differential.checks"
 let exec_c = Obs.Metrics.counter "triage.differential.executions"
-
-let align cat ~reference t =
-  match (P.schema cat reference, P.schema cat t) with
-  | Error e, _ -> Error ("lhs schema: " ^ e)
-  | _, Error e -> Error ("rhs schema: " ^ e)
-  | Ok ls, Ok rs ->
-    let ids cols = List.map (fun (c : P.col_info) -> c.id) cols in
-    let lid = ids ls and rid = ids rs in
-    if List.equal I.equal lid rid then Ok t
-    else if I.Set.equal (I.Set.of_list lid) (I.Set.of_list rid) then
-      Ok (Optimizer.Rule.identity_project ls t)
-    else if
-      List.length ls = List.length rs
-      && List.for_all2
-           (fun (a : P.col_info) (b : P.col_info) -> a.ty = b.ty)
-           ls rs
-    then
-      Ok (L.Project
-            { cols = List.map2 (fun (lc : P.col_info) (rc : P.col_info) ->
-                  (lc.id, S.Col rc.id)) ls rs;
-              child = t })
-    else Error "incomparable output schemas"
 
 let plan ?(budget = 1) cat t =
   let options = { Optimizer.Engine.default_options with max_trees = budget } in
@@ -40,7 +16,9 @@ let check ?(site = "differential") ?(budget = 1) cat lhs rhs =
   Obs.Metrics.incr checks_c;
   let* () = Result.map_error (fun e -> "lhs validate: " ^ e) (P.validate cat lhs) in
   let* () = Result.map_error (fun e -> "rhs validate: " ^ e) (P.validate cat rhs) in
-  let* rhs = align cat ~reference:lhs rhs in
+  let* rhs =
+    Result.map H.repr (Optimizer.Rule.align cat ~reference:(H.intern lhs) (H.intern rhs))
+  in
   let* lplan = Result.map_error (fun e -> "lhs plan: " ^ e) (plan ~budget cat lhs) in
   let* rplan = Result.map_error (fun e -> "rhs plan: " ^ e) (plan ~budget cat rhs) in
   (* Logical executions: counted whether or not the result cache serves

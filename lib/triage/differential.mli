@@ -8,20 +8,6 @@
     {!Divergence} exactly like a validation bug, so discovered
     counterexamples flow into the same corpus/replay machinery. *)
 
-val align :
-  Storage.Catalog.t ->
-  reference:Relalg.Logical.t ->
-  Relalg.Logical.t ->
-  (Relalg.Logical.t, string) result
-(** [align cat ~reference t] wraps [t] so it exports [reference]'s
-    output schema: [t] unchanged when the columns already agree, an
-    identity projection when only the order differs, a positional
-    rename when the idents differ but arities and types match
-    positionally. [Error] when the schemas are incomparable (or either
-    tree is ill-formed). This is also the alignment {!to_rule} bridges
-    apply, so the oracle accepts exactly the candidates the bridge can
-    promote. *)
-
 val check :
   ?site:string ->
   ?budget:int ->
@@ -37,5 +23,9 @@ val check :
     execution error on the rhs is a divergence of kind [Exec_error],
     mirroring {!Oracle}); [Error] = the check itself could not run
     (ill-formed tree, incomparable schemas, lhs execution failure).
+    The rhs is first aligned to the lhs's output schema with
+    {!Optimizer.Rule.align} — the alignment a discovered rule's
+    [Rdsl.Align] rhs applies, so the oracle accepts exactly the
+    candidates discovery can promote.
     Counts [triage.differential.checks]/[.executions] — executions are
     logical (cache hits included), so totals match across job counts. *)

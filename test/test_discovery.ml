@@ -68,19 +68,19 @@ let prop_standardize_idempotent =
       let once = T.standardize c in
       T.equal once (T.standardize once))
 
-let prop_swap_same_normal_ids =
-  QCheck2.Test.make ~name:"swapped sides share normal ids" ~count:500
+let prop_swap_same_normal_form =
+  QCheck2.Test.make ~name:"swapped sides share a normal form" ~count:500
     ~print:print_candidate gen_candidate (fun c ->
-      T.normal_ids c = T.normal_ids { T.lhs = c.T.rhs; rhs = c.T.lhs })
+      T.equal (T.standardize c) (T.standardize { T.lhs = c.T.rhs; rhs = c.T.lhs }))
 
-let prop_rename_same_normal_ids =
-  QCheck2.Test.make ~name:"injectively renamed candidates share normal ids"
+let prop_rename_same_normal_form =
+  QCheck2.Test.make ~name:"injectively renamed candidates share a normal form"
     ~count:500 ~print:print_candidate gen_candidate (fun c ->
       let renamed =
         rename ~rel:(fun i -> 1 - i) ~pred:(fun i -> i + 3)
           ~join:(fun i -> i + 5) c
       in
-      T.normal_ids c = T.normal_ids renamed)
+      T.equal (T.standardize c) (T.standardize renamed))
 
 (* ------------------------------------------------------------------ *)
 (* Unit checks on the reference sets                                   *)
@@ -100,15 +100,15 @@ let test_reference_sets () =
         (name ^ " enumerated") true
         (List.exists (fun c -> T.equal c seeded) cands))
     T.seeded_unsound;
-  (* Dedup really is one id comparison per side: no two enumerated
-     candidates share both normal ids. *)
+  (* Dedup is complete: no two enumerated candidates share a normal
+     form. *)
   let tbl = Hashtbl.create 512 in
   List.iter
     (fun c ->
-      let ids = T.normal_ids c in
-      Alcotest.(check bool) "no duplicate normal ids" false
-        (Hashtbl.mem tbl ids);
-      Hashtbl.add tbl ids ())
+      let normal = T.standardize c in
+      Alcotest.(check bool) "no duplicate normal forms" false
+        (Hashtbl.mem tbl normal);
+      Hashtbl.add tbl normal ())
     cands
 
 (* ------------------------------------------------------------------ *)
@@ -143,8 +143,8 @@ let test_driver_jobs_deterministic () =
 let suite =
   [ ( "discovery.template",
       [ QCheck_alcotest.to_alcotest prop_standardize_idempotent;
-        QCheck_alcotest.to_alcotest prop_swap_same_normal_ids;
-        QCheck_alcotest.to_alcotest prop_rename_same_normal_ids;
+        QCheck_alcotest.to_alcotest prop_swap_same_normal_form;
+        QCheck_alcotest.to_alcotest prop_rename_same_normal_form;
         Alcotest.test_case "reference sets" `Quick test_reference_sets ] );
     ( "discovery.driver",
       [ Alcotest.test_case "determinism across jobs" `Slow

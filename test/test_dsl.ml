@@ -96,6 +96,156 @@ let prop_compiled_is_image =
         Optimizer.Rules.dsl_rules)
 
 (* ------------------------------------------------------------------ *)
+(* Discovered rules                                                    *)
+
+module T = Discovery.Template
+
+(* How discovery turns a candidate into an engine rule. *)
+let discovered_rule (name, c) = R.compile (T.to_rdsl ~name c)
+
+(* Every candidate of the full alphabet up to two operators a side, plus
+   both reference sets. *)
+let discovered_candidates () =
+  List.map (fun c -> (T.name_of c, c)) (T.enumerate T.Full ~max_nodes:2)
+  @ T.known_sound @ T.seeded_unsound
+
+(* Every filter doubled: [F[p](x)] becomes [F[p](F[p](x))], so a
+   candidate repeating a predicate variable meets both equal (the
+   doubled pair) and unequal (a doubled filter over another filter)
+   bindings. *)
+let rec double_filters t =
+  let t = L.with_children t (List.map double_filters (L.children t)) in
+  match t with L.Filter { pred; _ } -> L.Filter { pred; child = t } | _ -> t
+
+(* Golden substitutes of discovered rules: every candidate above applied
+   at every node of the golden micro trees and of their filter-doubled
+   copies, and at every node of three instantiations of its own
+   pattern. The digest was computed while discovered rules still ran
+   through their own matcher and builder (with their own schema
+   alignment), before they became [Rdsl] terms: it pins that
+   compiling [T.to_rdsl] changes no substitute. *)
+let discovered_digest = "7a0f4511635a0c07c9550fbbe3690e0c"
+
+let test_discovered_parity () =
+  let rules = List.map discovered_rule (discovered_candidates ()) in
+  let buf = Buffer.create 65536 in
+  let fired = Hashtbl.create 256 in
+  let apply_all rules t =
+    L.fold
+      (fun () node ->
+        Buffer.add_char buf '\n';
+        List.iter
+          (fun (r : Optimizer.Rule.t) ->
+            match r.apply micro (H.intern node) with
+            | [] -> ()
+            | subs ->
+              Hashtbl.replace fired r.name ();
+              Buffer.add_string buf r.name;
+              List.iter
+                (fun (s : H.node) ->
+                  Buffer.add_string buf (Marshal.to_string s.repr [ Marshal.No_sharing ]))
+                subs)
+          rules)
+      () t
+  in
+  let trees = List.init 300 (fun seed -> with_label_base (fun () -> random_tree micro seed)) in
+  let doubled =
+    List.filter_map
+      (fun t ->
+        let d = double_filters t in
+        if L.equal d t then None else Some d)
+      trees
+  in
+  List.iter (apply_all rules) (trees @ doubled);
+  let repeated =
+    T.name_of
+      { T.lhs = T.Filter (T.Pvar 0, T.Filter (T.Pvar 0, T.Rel 0));
+        rhs = T.Filter (T.Pvar 0, T.Rel 0) }
+  in
+  check bool_t "a repeated predicate variable matches on the doubled trees" true
+    (Hashtbl.mem fired repeated);
+  List.iter
+    (fun (r : Optimizer.Rule.t) ->
+      List.iter
+        (fun seed ->
+          match
+            with_label_base (fun () ->
+                Core.Query_gen.instantiate
+                  { Core.Arggen.g = Storage.Prng.create seed; cat = micro }
+                  r.pattern)
+          with
+          | Some t -> apply_all [ r ] t
+          | None -> ())
+        [ 0; 1; 2 ])
+    rules;
+  check bool_t "most candidates fire" true (2 * Hashtbl.length fired > List.length rules);
+  check Alcotest.string "substitute digest" discovered_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The lhs forms templates need, and [Align], one case each. *)
+let test_lhs_equality_and_align () =
+  let module S = Relalg.Scalar in
+  let x = L.Get { table = "t1"; alias = "x" } and y = L.Get { table = "t2"; alias = "y" } in
+  let gt col n = S.Cmp (S.Gt, S.col (Relalg.Ident.make "x" col), S.int n) in
+  let fires r t = R.image micro r (H.intern t) in
+  let is r t want =
+    match fires r t with
+    | Some n -> n == H.intern want
+    | None -> false
+  in
+  let filter pred child = L.Filter { pred; child } in
+  (* A repeated predicate variable: equal predicates only. *)
+  let merge_same =
+    { R.name = "SameFilter"; lhs = R.Filter (R.Pvar 0, R.Filter (R.Pvar 0, R.Var 0));
+      rhs = R.Filter (R.Pvar 0, R.Var 0); sides = [] }
+  in
+  check bool_t "F[p0](F[p0](A)) fires on equal predicates" true
+    (is merge_same (filter (gt "a" 1) (filter (gt "a" 1) x)) (filter (gt "a" 1) x));
+  check bool_t "F[p0](F[p0](A)) does not fire on unequal predicates" true
+    (fires merge_same (filter (gt "a" 1) (filter (gt "a" 2) x)) = None);
+  (* A repeated relation variable: the same node only. *)
+  let union_self =
+    { R.name = "UnionSelf"; lhs = R.Union (R.Var 0, R.Var 0); rhs = R.Distinct (R.Var 0);
+      sides = [] }
+  in
+  let x' = L.Get { table = "t1"; alias = "x2" } in
+  check bool_t "U(A,A) fires on equal branches" true
+    (is union_self (L.Union (x, x)) (L.Distinct x));
+  check bool_t "U(A,A) does not fire on different branches" true
+    (fires union_self (L.Union (x, x')) = None);
+  (* An lhs conjunction splits first conjunct / rest. *)
+  let split =
+    { R.name = "Split"; lhs = R.Filter (R.Pand (R.Pvar 0, R.Pvar 1), R.Var 0);
+      rhs = R.Filter (R.Pvar 1, R.Filter (R.Pvar 0, R.Var 0)); sides = [] }
+  in
+  let three = S.conj [ gt "a" 1; gt "a" 2; gt "b" 3 ] in
+  check bool_t "F[p0&p1] binds the first conjunct and the rest" true
+    (is split (filter three x)
+       (filter (S.conj [ gt "a" 2; gt "b" 3 ]) (filter (gt "a" 1) x)));
+  check bool_t "F[p0&p1] does not fire on a single conjunct" true
+    (fires split (filter (gt "a" 1) x) = None);
+  (* Align: the swapped join realigns its columns, and does not fire
+     where the moved filter reads columns out of its new scope. *)
+  let swap =
+    T.to_rdsl ~name:"SwapFilteredJoin"
+      { T.lhs = T.Join (0, T.Rel 0, T.Filter (T.Pvar 0, T.Rel 1));
+        rhs = T.Join (0, T.Rel 1, T.Filter (T.Pvar 0, T.Rel 0)) }
+  in
+  let jpred =
+    S.Cmp (S.Eq, S.col (Relalg.Ident.make "x" "a"), S.col (Relalg.Ident.make "y" "d"))
+  in
+  let join f = L.Join { kind = L.Inner; pred = jpred; left = x; right = filter f y } in
+  let scoped_to_y = S.Cmp (S.Gt, S.col (Relalg.Ident.make "y" "e"), S.int 1) in
+  check bool_t "Align does not fire on an ill-formed rhs" true
+    (fires swap (join scoped_to_y) = None);
+  let constant = S.Cmp (S.Eq, S.int 1, S.int 1) in
+  check bool_t "Align restores the column order" true
+    (is swap (join constant)
+       (Optimizer.Rule.identity_project
+          (Relalg.Props.schema_exn micro (join constant))
+          (L.Join { kind = L.Inner; pred = jpred; left = y; right = filter constant x })))
+
+(* ------------------------------------------------------------------ *)
 (* The symbolic oracle                                                 *)
 
 let verdict r =
@@ -251,25 +401,10 @@ let test_faults_refuted_and_caught () =
 
 (* Rules build their outputs over the nodes they matched, interning only
    the operators they create: every node [apply] returns must be the
-   canonical node of its tree, for every registered rule and every
-   seeded fault, at every subtree of random trees and of instantiations
-   of each rule's own pattern. *)
-let test_outputs_canonical () =
-  let rules =
-    Optimizer.Rules.all @ List.map (fun name -> R.compile (Core.Faults.term name)) Core.Faults.names
-  in
-  let trees =
-    List.init 60 (random_tree micro)
-    @ List.concat_map
-        (fun (r : Optimizer.Rule.t) ->
-          List.filter_map
-            (fun seed ->
-              Core.Query_gen.instantiate
-                { Core.Arggen.g = Storage.Prng.create seed; cat = micro }
-                r.pattern)
-            (List.init 4 Fun.id))
-        rules
-  in
+   canonical node of its tree, for every registered rule, every seeded
+   fault and every discovered rule, at every subtree of random trees
+   and of instantiations of each rule's own pattern. *)
+let canonical_outputs rules trees =
   let outputs = ref 0 in
   List.iter
     (fun t ->
@@ -288,7 +423,34 @@ let test_outputs_canonical () =
             rules)
         () t)
     trees;
-  check bool_t "rules fired" true (!outputs > 100)
+  !outputs
+
+let own_instances seeds (r : Optimizer.Rule.t) =
+  List.filter_map
+    (fun seed ->
+      Core.Query_gen.instantiate
+        { Core.Arggen.g = Storage.Prng.create seed; cat = micro }
+        r.pattern)
+    seeds
+
+let test_outputs_canonical () =
+  let rules =
+    Optimizer.Rules.all @ List.map (fun name -> R.compile (Core.Faults.term name)) Core.Faults.names
+  in
+  let random = List.init 60 (random_tree micro) in
+  let trees = random @ List.concat_map (own_instances (List.init 4 Fun.id)) rules in
+  check bool_t "rules fired" true (canonical_outputs rules trees > 100);
+  (* Discovered rules see the random trees (and their filter-doubled
+     copies) together, and their own pattern's instances one rule at a
+     time. *)
+  let discovered = List.map discovered_rule (discovered_candidates ()) in
+  let shared = canonical_outputs discovered (random @ List.map double_filters random) in
+  let own =
+    List.fold_left
+      (fun acc r -> acc + canonical_outputs [ r ] (own_instances [ 0 ] r))
+      0 discovered
+  in
+  check bool_t "discovered rules fired" true (shared + own > 1000)
 
 (* dune runtest fails if any registered rule would fire on a root its own
    pattern rejects (satellite: the [Rule.make] mismatch probe). Deltas,
@@ -327,6 +489,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_compiled_is_image;
       Alcotest.test_case "every DSL-backed registered rule verifies sound" `Quick
         test_oracle_sound_rules;
+      Alcotest.test_case "discovered-rule parity digest" `Quick
+        test_discovered_parity;
+      Alcotest.test_case "lhs equality, lhs conjunct split and Align" `Quick
+        test_lhs_equality_and_align;
       Alcotest.test_case "discovery reference sets verify as expected" `Quick
         test_oracle_discovery_sets;
       Alcotest.test_case "mutation sweep refutes all but the documented blind spots"

@@ -278,7 +278,7 @@ let test_compile_time_unknown_column () =
   (* And the error is raised by Batch.plan itself, before any row. *)
   check bool_t "raised at Batch.plan" true
     (match Executor.Batch.plan cat bad with
-    | exception Executor.Compile.Compile_error _ -> true
+    | exception Executor.Batch.Compile_error _ -> true
     | _ -> false)
 
 let test_fingerprint () =
