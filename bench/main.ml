@@ -702,7 +702,7 @@ let explore_bench () =
   in
   (* The production pass starts from an empty rewrite memo: it may
      reuse work across its own queries, never across the two passes. *)
-  Optimizer.Engine.Reference.drop_memo ();
+  Optimizer.Engine.drop_memo ();
   let memo_s, memo_trees = time (Optimizer.Engine.optimize ~options cat) in
   assert (plain_trees = memo_trees);
   let speedup = plain_s /. Float.max 1e-9 memo_s in
@@ -716,7 +716,7 @@ let explore_bench () =
      passes pay for major slices varies, and single passes read 15%
      apart. One domain, so CPU time is the work done. *)
   let cold_pass () =
-    Optimizer.Engine.Reference.drop_memo ();
+    Optimizer.Engine.drop_memo ();
     Gc.full_major ();
     let t0 = Sys.time () in
     List.iter (fun q -> ignore (Optimizer.Engine.optimize ~options cat q)) queries;
@@ -767,7 +767,7 @@ let matrix_bench ~full ~disk =
       (fun target ->
         let disabled = Su.rules_of target in
         for q = 0 to nq - 1 do
-          Optimizer.Engine.Reference.drop_memo ();
+          Optimizer.Engine.drop_memo ();
           match F.cost framework ~disabled suite.entries.(q).query with
           | Ok c when Float.is_finite c -> total := !total +. c
           | Ok _ | Error _ -> ()
@@ -781,7 +781,7 @@ let matrix_bench ~full ~disk =
      these timings and edge-cost sums. *)
   let shared () =
     F.reset_invocations framework;
-    Optimizer.Engine.Reference.drop_memo ();
+    Optimizer.Engine.drop_memo ();
     let ec = C.edge_costs ?disk framework suite in
     let t0 = now () in
     let total = ref 0.0 in

@@ -1146,7 +1146,7 @@ let stats_cmd =
         own
         (Relalg.Props.memo_entries ())
         own
-        (Optimizer.Engine.Reference.memo_entries ())
+        (Optimizer.Engine.memo_entries ())
         (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses)
         (global_counter "optimizer.explore.reused");
       let ex_hits = global_counter "executor.result_cache.hits" in

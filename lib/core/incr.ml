@@ -14,6 +14,10 @@
      changed rule — except the rules the cell's own target disables,
      which its cost never consults — are injected as warm edges.
 
+   Those two rules are each stated once and also drive [preview], so
+   [qtr delta] predicts with the rules the run applies. The manifest's
+   suite and matrix sections are decoded once, at start.
+
    Byte-identity with a cold rebuild is structural, not aspirational:
    reused targets still consume their PRNG substream slot and the
    cross-target merge replays in target order (Suite.generate_tracked),
@@ -48,13 +52,17 @@ type t = {
   changes : (string * M.change) list;
   full_rebuild : bool;
   changed_rules : string list;  (* body-changed + removed: the reusable diff *)
+  stored_suite : suite_section option;  (* both decoded once, by [start] *)
+  stored_matrix : matrix_section option;
   mutable suite : Suite.t option;
+  mutable reindex : (matrix_section * int L.Tbl.t) option;
+      (* the stored matrix and the new suite's entries by content, when
+         the diff leaves stored cells reusable; set by [generate] *)
   mutable records : Suite.gen_record list;
   mutable entries_reused : int;
   mutable targets_reused : int;
   mutable columns : (int * string list) list;  (* new indices, post-solve *)
   mutable cells : ((int * int) * float) list;  (* new indices, post-solve *)
-  mutable edges_offered : int;
   mutable edges_recomputed : int;
   mutable edges_reused : int;
 }
@@ -97,6 +105,14 @@ let start ~dc ~desc fw =
         match c with M.Body_changed | M.Removed -> Some n | _ -> None)
       changes
   in
+  let section name =
+    match Option.bind old (fun m -> M.section m name) with
+    | None -> None
+    | Some payload -> (
+      match Marshal.from_string payload 0 with
+      | v -> Some v
+      | exception _ -> None)
+  in
   if Obs.Metrics.enabled () then
     Obs.Metrics.add rules_changed_c (List.length changes);
   { dc;
@@ -107,63 +123,80 @@ let start ~dc ~desc fw =
     changes;
     full_rebuild;
     changed_rules;
+    stored_suite = (section "suite" : suite_section option);
+    stored_matrix = (section "matrix" : matrix_section option);
     suite = None;
+    reindex = None;
     records = [];
     entries_reused = 0;
     targets_reused = 0;
     columns = [];
     cells = [];
-    edges_offered = 0;
     edges_recomputed = 0;
     edges_reused = 0 }
 
 let changes t = t.changes
 let cold t = t.full_rebuild && t.old = None
 
-let load_section : type a. t -> string -> a option =
- fun t name ->
-  match t.old with
-  | None -> None
-  | Some m -> (
-    match M.section m name with
-    | None -> None
-    | Some payload -> (
-      match (Marshal.from_string payload 0 : a) with
-      | v -> Some v
-      | exception _ -> None))
+(* The target rule, for the reuse callback and [preview] alike: a stored
+   target stands when no changed rule appears in its recorded dependency
+   set — generation would take exactly the recorded path. *)
+let target_reusable t deps =
+  not (List.exists (fun c -> List.mem c deps) t.changed_rules)
 
-(* A stored target is replayable when it sits at the same index (same
-   PRNG substream, same fresh-alias range) and no changed rule appears
-   in its recorded dependency set — generation would take exactly the
-   recorded path, so we skip it and serve the recorded result. *)
+(* The cell rule, for [warm_edges] and [preview] alike: cell
+   ((target, q), cost) stands when q's column dependency set is known
+   and every changed rule is either disabled by the cell's target
+   (Cost(q, ¬R) never consults a disabled rule's body) or absent from
+   that set. [coldeps] maps stored query indices to column deps. *)
+let cell_reusable t coldeps ~disabled qold =
+  match Hashtbl.find_opt coldeps qold with
+  | None -> false
+  | Some deps ->
+    List.for_all
+      (fun c -> List.mem c disabled || not (List.mem c deps))
+      t.changed_rules
+
+let column_deps ms =
+  let coldeps = Hashtbl.create 256 in
+  List.iter (fun (q, deps) -> Hashtbl.replace coldeps q deps) ms.ms_columns;
+  coldeps
+
+(* A stored target is replayed when it also sits at the same index (same
+   PRNG substream, same fresh-alias range): we skip generating it and
+   serve the recorded result. *)
 let suite_reuse t =
-  if t.full_rebuild then None
-  else
-    match (load_section t "suite" : suite_section option) with
-    | None -> None
-    | Some ss ->
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (name, idx, deps, accepted) ->
-          Hashtbl.replace tbl name (idx, deps, accepted))
-        ss.ss_targets;
-      Some
-        (fun ti target ->
-          match Hashtbl.find_opt tbl (Suite.target_name target) with
-          | Some (idx, deps, accepted)
-            when idx = ti
-                 && not (List.exists (fun c -> List.mem c deps) t.changed_rules)
-            -> Some (accepted, deps)
-          | _ -> None)
+  match t.stored_suite with
+  | Some ss when not t.full_rebuild ->
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun (name, idx, deps, accepted) ->
+        Hashtbl.replace tbl name (idx, deps, accepted))
+      ss.ss_targets;
+    Some
+      (fun ti target ->
+        match Hashtbl.find_opt tbl (Suite.target_name target) with
+        | Some (idx, deps, accepted) when idx = ti && target_reusable t deps ->
+          Some (accepted, deps)
+        | _ -> None)
+  | _ -> None
 
-let generate ?gen ?extra_ops ?max_trials ~pool t g ~targets ~k =
+let generate ?extra_ops ?max_trials ~pool t g ~targets ~k =
   let reuse = suite_reuse t in
   let suite, records =
-    Suite.generate_tracked ?gen ?extra_ops ?max_trials ?reuse ~pool t.fw g
-      ~targets ~k
+    Suite.generate_tracked ?extra_ops ?max_trials ?reuse ~pool t.fw g ~targets
+      ~k
   in
   t.suite <- Some suite;
   t.records <- records;
+  (match t.stored_matrix with
+  | Some ms when not t.full_rebuild ->
+    let qmap : int L.Tbl.t = L.Tbl.create 256 in
+    Array.iteri
+      (fun i (e : Suite.entry) -> L.Tbl.replace qmap e.query i)
+      suite.entries;
+    t.reindex <- Some (ms, qmap)
+  | _ -> ());
   List.iter
     (fun (r : Suite.gen_record) ->
       if r.gr_reused then begin
@@ -175,91 +208,64 @@ let generate ?gen ?extra_ops ?max_trials ~pool t g ~targets ~k =
     Obs.Metrics.add entries_reused_c t.entries_reused;
   suite
 
-(* Surviving matrix cells, re-indexed to the new suite. Cell
-   ((target, q), cost) survives when every changed rule is either
-   disabled by the cell's target (Cost(q, ¬R) never consults a disabled
-   rule's body) or absent from q's column dependency set. Queries are
-   matched by content, so cells survive even when entry indices shift
-   because an earlier target regenerated. *)
+(* The new entry index of a stored query index, matched by content, so
+   cells and column deps survive even when entry indices shift because
+   an earlier target regenerated. *)
+let requery (ms, qmap) qold =
+  if qold >= 0 && qold < Array.length ms.ms_entries then
+    L.Tbl.find_opt qmap ms.ms_entries.(qold)
+  else None
+
+(* Surviving matrix cells, re-indexed to the new suite. *)
 let warm_edges t =
-  match (t.suite, load_section t "matrix" : _ * matrix_section option) with
+  match (t.suite, t.reindex) with
   | None, _ -> invalid_arg "Incr.warm_edges: generate first"
   | _, None -> []
-  | Some suite, Some ms ->
-    if t.full_rebuild then []
-    else begin
-      let qmap : int L.Tbl.t = L.Tbl.create 256 in
-      Array.iteri
-        (fun i (e : Suite.entry) -> L.Tbl.replace qmap e.query i)
-        suite.entries;
-      let tmap = Hashtbl.create 64 in
-      List.iteri
-        (fun ti target -> Hashtbl.replace tmap (Suite.target_name target) (ti, target))
-        suite.targets;
-      let coldeps = Hashtbl.create 256 in
-      List.iter (fun (q, deps) -> Hashtbl.replace coldeps q deps) ms.ms_columns;
-      let edges =
-        List.filter_map
-          (fun ((tname, qold), cost) ->
-            match
-              ( Hashtbl.find_opt tmap tname,
-                (if qold >= 0 && qold < Array.length ms.ms_entries then
-                   L.Tbl.find_opt qmap ms.ms_entries.(qold)
-                 else None),
-                Hashtbl.find_opt coldeps qold )
-            with
-            | Some (ti, target), Some qnew, Some deps ->
-              let disabled = Suite.rules_of target in
-              if
-                List.for_all
-                  (fun c -> List.mem c disabled || not (List.mem c deps))
-                  t.changed_rules
-              then Some ((ti, qnew), cost)
-              else None
-            | _ -> None)
-          ms.ms_cells
-      in
-      t.edges_offered <- List.length edges;
-      edges
-    end
+  | Some suite, Some ((ms, _) as ri) ->
+    let tmap = Hashtbl.create 64 in
+    List.iteri
+      (fun ti target -> Hashtbl.replace tmap (Suite.target_name target) (ti, target))
+      suite.targets;
+    let coldeps = column_deps ms in
+    List.filter_map
+      (fun ((tname, qold), cost) ->
+        match (Hashtbl.find_opt tmap tname, requery ri qold) with
+        | Some (ti, target), Some qnew
+          when cell_reusable t coldeps ~disabled:(Suite.rules_of target) qold ->
+          Some ((ti, qnew), cost)
+        | _ -> None)
+      ms.ms_cells
 
 (* Fold a solved service into the session: its snapshot becomes the next
    manifest's cell set, and its computed column deps are unioned with
    the deps carried over for columns served entirely warm (whose rules
    never ran this time, so their recorded sets are still the truth). *)
 let note_matrix t ec =
-  match t.suite with
-  | None -> invalid_arg "Incr.note_matrix: generate first"
-  | Some suite ->
-    t.cells <- Compress.snapshot ec;
-    t.edges_recomputed <- Compress.computed_edges ec;
-    t.edges_reused <- Compress.warm_served_edges ec;
-    if Obs.Metrics.enabled () then
-      Obs.Metrics.add edges_recomputed_c t.edges_recomputed;
-    let cols = Hashtbl.create 256 in
-    (match (load_section t "matrix" : matrix_section option) with
-    | Some ms when not t.full_rebuild ->
-      let qmap : int L.Tbl.t = L.Tbl.create 256 in
-      Array.iteri
-        (fun i (e : Suite.entry) -> L.Tbl.replace qmap e.query i)
-        suite.entries;
+  if t.suite = None then invalid_arg "Incr.note_matrix: generate first";
+  t.cells <- Compress.snapshot ec;
+  t.edges_recomputed <- Compress.computed_edges ec;
+  t.edges_reused <- Compress.warm_served_edges ec;
+  if Obs.Metrics.enabled () then
+    Obs.Metrics.add edges_recomputed_c t.edges_recomputed;
+  let cols = Hashtbl.create 256 in
+  Option.iter
+    (fun ((ms, _) as ri) ->
       List.iter
         (fun (qold, deps) ->
-          if qold >= 0 && qold < Array.length ms.ms_entries then
-            match L.Tbl.find_opt qmap ms.ms_entries.(qold) with
-            | Some qnew -> Hashtbl.replace cols qnew deps
-            | None -> ())
-        ms.ms_columns
-    | _ -> ());
-    List.iter
-      (fun (q, deps) ->
-        match Hashtbl.find_opt cols q with
-        | None -> Hashtbl.replace cols q deps
-        | Some prev ->
-          Hashtbl.replace cols q
-            (List.sort_uniq String.compare (List.rev_append deps prev)))
-      (Compress.column_deps ec);
-    t.columns <- List.sort compare (List.of_seq (Hashtbl.to_seq cols))
+          match requery ri qold with
+          | Some qnew -> Hashtbl.replace cols qnew deps
+          | None -> ())
+        ms.ms_columns)
+    t.reindex;
+  List.iter
+    (fun (q, deps) ->
+      match Hashtbl.find_opt cols q with
+      | None -> Hashtbl.replace cols q deps
+      | Some prev ->
+        Hashtbl.replace cols q
+          (List.sort_uniq String.compare (List.rev_append deps prev)))
+    (Compress.column_deps ec);
+  t.columns <- List.sort compare (List.of_seq (Hashtbl.to_seq cols))
 
 let finish t =
   match t.suite with
@@ -311,36 +317,27 @@ type report = {
 
 let preview t =
   let stored_targets =
-    match (load_section t "suite" : suite_section option) with
-    | Some ss -> ss.ss_targets
-    | None -> []
+    match t.stored_suite with Some ss -> ss.ss_targets | None -> []
   in
   let reusable_target (_, _, deps, _) =
-    (not t.full_rebuild)
-    && not (List.exists (fun c -> List.mem c deps) t.changed_rules)
+    (not t.full_rebuild) && target_reusable t deps
   in
   let stored_cells, reusable_cells =
-    match (load_section t "matrix" : matrix_section option) with
+    match t.stored_matrix with
     | None -> (0, 0)
     | Some ms ->
-      let coldeps = Hashtbl.create 256 in
-      List.iter (fun (q, d) -> Hashtbl.replace coldeps q d) ms.ms_columns;
       let reusable =
         if t.full_rebuild then 0
         else
+          let coldeps = column_deps ms in
+          (* Without the live target list we conservatively parse the
+             disabled set out of the stored name. *)
           List.length
             (List.filter
                (fun ((tname, qold), _) ->
-                 match Hashtbl.find_opt coldeps qold with
-                 | None -> false
-                 | Some deps ->
-                   (* Without the live target list we conservatively
-                      parse the disabled set out of the stored name. *)
-                   let disabled = String.split_on_char '+' tname in
-                   List.for_all
-                     (fun c ->
-                       List.mem c disabled || not (List.mem c deps))
-                     t.changed_rules)
+                 cell_reusable t coldeps
+                   ~disabled:(String.split_on_char '+' tname)
+                   qold)
                ms.ms_cells)
       in
       (List.length ms.ms_cells, reusable)

@@ -34,9 +34,10 @@ val config_key : Framework.t -> desc:string -> string
     different configurations never see each other's manifests. *)
 
 val start : dc:Storage.Diskcache.t -> desc:string -> Framework.t -> t
-(** Load and diff the manifest for this configuration. No manifest (or a
-    corrupt one) yields a session that rebuilds everything cold and
-    writes a fresh manifest on {!finish}. *)
+(** Load and diff the manifest for this configuration, decoding its
+    suite and matrix sections once for the whole session. No manifest
+    (or a corrupt one) yields a session that rebuilds everything cold
+    and writes a fresh manifest on {!finish}. *)
 
 val changes : t -> (string * Storage.Manifest.change) list
 (** The classified rule diff, sorted by name; empty on a cold start. *)
@@ -45,7 +46,6 @@ val cold : t -> bool
 (** No prior manifest was found for this configuration. *)
 
 val generate :
-  ?gen:Suite.gen_method ->
   ?extra_ops:int ->
   ?max_trials:int ->
   pool:Par.Pool.t ->
@@ -92,7 +92,9 @@ type report = {
 val preview : t -> report
 (** What the manifest alone proves reusable, without running anything —
     the [qtr delta] report. Target/edge tallies count stored artifacts
-    whose dependency sets avoid every changed rule. *)
+    whose dependency sets avoid every changed rule, by the same target
+    and cell rules {!generate} and {!warm_edges} apply; a cell's disabled
+    set is read from its stored target name. *)
 
 val result : t -> report
 (** The actual reuse tallies after a run: targets/entries served by the

@@ -68,47 +68,56 @@ let compose p1 p2 =
   let candidates = substitutions p1 p2 @ substitutions p2 p1 @ roots in
   List.stable_sort (fun a b -> compare (P.size a) (P.size b)) candidates
 
-let check fw query targets =
-  match Framework.ruleset fw query with
-  | Error _ -> false
-  | Ok rs -> List.for_all (fun r -> Framework.SSet.mem r rs) targets
-
-let finish ctx fw ~extra_ops ~targets ~trials query =
+(* Acceptance by [RuleSet(q)]: pad the candidate, then keep it when
+   every target rule fired. *)
+let finish fw ~extra_ops ~targets ctx ~trials query =
   let query = if extra_ops > 0 then Arggen.pad ctx query extra_ops else query in
-  if check fw query targets then Some { query; trials } else None
+  match Framework.ruleset fw query with
+  | Ok rs when List.for_all (fun r -> Framework.SSet.mem r rs) targets ->
+    Some { query; trials }
+  | _ -> None
 
-(* Per-(method, target) generation telemetry: trials consumed, generation
-   failures (trial budget exhausted) and wall time. Instantiation
-   failures are counted at the call sites inside the trial loops. *)
-type gen_instr = {
-  trials_c : Obs.Metrics.counter;
-  not_found_c : Obs.Metrics.counter;
-  inst_fail_c : Obs.Metrics.counter;
-  wall_ns : Obs.Metrics.histogram;
-}
-
-let gen_instr ~meth ~target =
-  { trials_c = Obs.Metrics.counter ~label:target ("qgen." ^ meth ^ ".trials");
-    not_found_c = Obs.Metrics.counter ~label:target ("qgen." ^ meth ^ ".not_found");
-    inst_fail_c =
-      Obs.Metrics.counter ~label:target ("qgen." ^ meth ^ ".instantiation_failures");
-    wall_ns = Obs.Metrics.histogram ~label:target ("qgen." ^ meth ^ ".wall_ns") }
-
-let instrumented ~meth ~target ~max_trials f =
-  let instr = gen_instr ~meth ~target in
+(* The one trial loop behind every method. Attempt [trials] (counted
+   from 0) asks [draw] for one candidate — [None] when argument
+   selection fails — and [accept] turns it into the result or rejects
+   it; the loop stops at the first result or after [max_trials]
+   attempts. Per-(method, target) telemetry: trials consumed,
+   generation failures (trial budget exhausted), instantiation failures
+   and wall time. *)
+let search ~meth ~target ~max_trials ~draw ~accept fw g =
+  let metric name = "qgen." ^ meth ^ "." ^ name in
+  let trials_c = Obs.Metrics.counter ~label:target (metric "trials") in
+  let not_found_c = Obs.Metrics.counter ~label:target (metric "not_found") in
+  let inst_fail_c =
+    Obs.Metrics.counter ~label:target (metric "instantiation_failures")
+  in
+  let wall_ns = Obs.Metrics.histogram ~label:target (metric "wall_ns") in
+  let ctx = { Arggen.g; cat = Framework.catalog fw } in
+  let rec loop trials =
+    if trials >= max_trials then None
+    else
+      match draw ctx trials with
+      | None ->
+        Obs.Metrics.incr inst_fail_c;
+        loop (trials + 1)
+      | Some query -> (
+        match accept ctx ~trials:(trials + 1) query with
+        | Some r -> Some r
+        | None -> loop (trials + 1))
+  in
   Obs.Trace.with_span ("qgen." ^ meth)
     ~args:[ ("target", Obs.Json.String target) ]
     (fun () ->
-      if not (Obs.Metrics.enabled ()) then f instr
+      if not (Obs.Metrics.enabled ()) then loop 0
       else begin
         let t0 = Obs.Clock.now_ns () in
-        let result = f instr in
-        Obs.Metrics.observe instr.wall_ns (Obs.Clock.ns_between t0 (Obs.Clock.now_ns ()));
+        let result = loop 0 in
+        Obs.Metrics.observe wall_ns (Obs.Clock.ns_between t0 (Obs.Clock.now_ns ()));
         (match result with
-        | Some r -> Obs.Metrics.add instr.trials_c r.trials
+        | Some r -> Obs.Metrics.add trials_c r.trials
         | None ->
-          Obs.Metrics.add instr.trials_c max_trials;
-          Obs.Metrics.incr instr.not_found_c);
+          Obs.Metrics.add trials_c max_trials;
+          Obs.Metrics.incr not_found_c);
         result
       end)
 
@@ -116,87 +125,42 @@ let for_rule ?(max_trials = 50) ?(extra_ops = 0) fw g rule_name =
   match Framework.pattern_of fw rule_name with
   | None -> None
   | Some pattern ->
-    instrumented ~meth:"pattern" ~target:rule_name ~max_trials (fun instr ->
-        let ctx = { Arggen.g; cat = Framework.catalog fw } in
-        let rec loop trials =
-          if trials >= max_trials then None
-          else
-            let trials = trials + 1 in
-            match instantiate ctx pattern with
-            | None ->
-              Obs.Metrics.incr instr.inst_fail_c;
-              loop trials
-            | Some query -> (
-              match finish ctx fw ~extra_ops ~targets:[ rule_name ] ~trials query with
-              | Some g -> Some g
-              | None -> loop trials)
-        in
-        loop 0)
+    search ~meth:"pattern" ~target:rule_name ~max_trials fw g
+      ~draw:(fun ctx _ -> instantiate ctx pattern)
+      ~accept:(finish fw ~extra_ops ~targets:[ rule_name ])
 
 let for_pair ?(max_trials = 60) ?(extra_ops = 0) fw g (r1, r2) =
   match (Framework.pattern_of fw r1, Framework.pattern_of fw r2) with
   | Some p1, Some p2 ->
-    instrumented ~meth:"pair" ~target:(r1 ^ "+" ^ r2) ~max_trials (fun instr ->
-        let ctx = { Arggen.g; cat = Framework.catalog fw } in
-        let candidates = compose p1 p2 in
-        let n = List.length candidates in
-        let rec loop trials =
-          if trials >= max_trials then None
-          else
-            (* Round-robin over composite patterns, smallest first. *)
-            let pattern = List.nth candidates (trials mod n) in
-            let trials = trials + 1 in
-            match instantiate ctx pattern with
-            | None ->
-              Obs.Metrics.incr instr.inst_fail_c;
-              loop trials
-            | Some query -> (
-              match finish ctx fw ~extra_ops ~targets:[ r1; r2 ] ~trials query with
-              | Some g -> Some g
-              | None -> loop trials)
-        in
-        loop 0)
+    let candidates = compose p1 p2 in
+    let n = List.length candidates in
+    search ~meth:"pair" ~target:(r1 ^ "+" ^ r2) ~max_trials fw g
+      (* Round-robin over composite patterns, smallest first. *)
+      ~draw:(fun ctx trials -> instantiate ctx (List.nth candidates (trials mod n)))
+      ~accept:(finish fw ~extra_ops ~targets:[ r1; r2 ])
   | _ -> None
 
 let relevant_for_rule ?(max_trials = 80) ?(extra_ops = 0) fw g rule_name =
   match Framework.pattern_of fw rule_name with
   | None -> None
   | Some pattern ->
-    instrumented ~meth:"relevant" ~target:rule_name ~max_trials (fun instr ->
-        let ctx = { Arggen.g; cat = Framework.catalog fw } in
-        let relevant query =
-          match
-            ( Framework.optimize fw query,
-              Framework.optimize fw ~disabled:[ rule_name ] query )
-          with
-          | Ok on, Ok off -> not (Optimizer.Physical.equal on.plan off.plan)
-          | _ -> false
-        in
-        let rec loop trials =
-          if trials >= max_trials then None
-          else
-            let trials = trials + 1 in
-            match instantiate ctx pattern with
-            | None ->
-              Obs.Metrics.incr instr.inst_fail_c;
-              loop trials
-            | Some query -> (
-              match finish ctx fw ~extra_ops ~targets:[ rule_name ] ~trials query with
-              | Some g when relevant g.query -> Some g
-              | _ -> loop trials)
-        in
-        loop 0)
+    let relevant query =
+      match
+        ( Framework.optimize fw query,
+          Framework.optimize fw ~disabled:[ rule_name ] query )
+      with
+      | Ok on, Ok off -> not (Optimizer.Physical.equal on.plan off.plan)
+      | _ -> false
+    in
+    search ~meth:"relevant" ~target:rule_name ~max_trials fw g
+      ~draw:(fun ctx _ -> instantiate ctx pattern)
+      ~accept:(fun ctx ~trials query ->
+        match finish fw ~extra_ops ~targets:[ rule_name ] ctx ~trials query with
+        | Some g when relevant g.query -> Some g
+        | _ -> None)
 
 let random_for_rules ?(max_trials = 300) ?(min_ops = 2) ?(max_ops = 10) fw g
     targets =
-  instrumented ~meth:"random" ~target:(String.concat "+" targets) ~max_trials
-    (fun _ ->
-      let ctx = { Arggen.g; cat = Framework.catalog fw } in
-      let rec loop trials =
-        if trials >= max_trials then None
-        else
-          let trials = trials + 1 in
-          let query = Random_gen.generate ~min_ops ~max_ops ctx in
-          if check fw query targets then Some { query; trials } else loop trials
-      in
-      loop 0)
+  search ~meth:"random" ~target:(String.concat "+" targets) ~max_trials fw g
+    ~draw:(fun ctx _ -> Some (Random_gen.generate ~min_ops ~max_ops ctx))
+    ~accept:(finish fw ~extra_ops:0 ~targets)

@@ -6,7 +6,13 @@
     and verify with [RuleSet(q)] that the target rule actually fired.
     Rule pairs use pattern composition (§3.2): root-combination under a
     join or union, and substitution of one pattern into a generic slot of
-    the other. *)
+    the other.
+
+    Every method, the RANDOM baseline included, runs one trial loop:
+    each attempt draws one candidate query (an attempt whose argument
+    selection fails counts as a trial and draws again) and accepts it
+    once [RuleSet(q)] holds every target rule, plus the method's own
+    extra check. *)
 
 type generated = {
   query : Relalg.Logical.t;

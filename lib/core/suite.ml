@@ -28,8 +28,6 @@ type t = {
   per_target : (target * int list) list;
 }
 
-type gen_method = Pattern_based | Random_based
-
 (* Disjoint fresh-alias ranges for parallel generation: task [ti] draws
    aliases from [ti * fresh_stride] upward. 100k aliases per target is
    far beyond what 3k generation attempts can consume. *)
@@ -43,20 +41,16 @@ type gen_record = {
   gr_reused : bool;
 }
 
-let make_generate_one ~gen ~extra_ops ~max_trials fw =
+(* PATTERN generation (§3) of one query for a target: the rule's
+   pattern, or round-robin over a pair's composite patterns. *)
+let make_generate_one ~extra_ops ~max_trials fw =
  fun g target ->
-  match gen with
-  | Random_based ->
-    Option.map
-      (fun (r : Query_gen.generated) -> r.query)
-      (Query_gen.random_for_rules ~max_trials fw g (rules_of target))
-  | Pattern_based -> (
-    let res =
-      match target with
-      | Single r -> Query_gen.for_rule ~max_trials ~extra_ops fw g r
-      | Pair (a, b) -> Query_gen.for_pair ~max_trials ~extra_ops fw g (a, b)
-    in
-    match res with Some r -> Some r.query | None -> None)
+  let res =
+    match target with
+    | Single r -> Query_gen.for_rule ~max_trials ~extra_ops fw g r
+    | Pair (a, b) -> Query_gen.for_pair ~max_trials ~extra_ops fw g (a, b)
+  in
+  Option.map (fun (r : Query_gen.generated) -> r.query) res
 
 (* Pooled generation with provenance: each target is one task with its
    own PRNG substream (derived here, in target order, before fanning out)
@@ -73,8 +67,8 @@ let make_generate_one ~gen ~extra_ops ~max_trials fw =
    entry-index assignment run on the calling domain in target order, so
    a suite built from any mix of reused and regenerated targets is
    byte-identical to the cold rebuild that regenerates everything. *)
-let generate_tracked ?(gen = Pattern_based) ?(extra_ops = 3) ?(max_trials = 60)
-    ?reuse ~pool fw g ~targets ~k =
+let generate_tracked ?(extra_ops = 3) ?(max_trials = 60) ?reuse ~pool fw g
+    ~targets ~k =
   Obs.Trace.with_span "suite.generate"
     ~args:[ ("targets", Obs.Json.Int (List.length targets)); ("k", Obs.Json.Int k) ]
   @@ fun () ->
@@ -85,7 +79,7 @@ let generate_tracked ?(gen = Pattern_based) ?(extra_ops = 3) ?(max_trials = 60)
      hashed with the full structural [Logical.hash] instead of a linear
      scan of every prior entry per candidate. *)
   let index : int L.Tbl.t = L.Tbl.create 64 in
-  let generate_one = make_generate_one ~gen ~extra_ops ~max_trials fw in
+  let generate_one = make_generate_one ~extra_ops ~max_trials fw in
   let tasks =
     List.mapi (fun ti target -> (ti, target, Storage.Prng.split g)) targets
   in
@@ -156,11 +150,10 @@ let generate_tracked ?(gen = Pattern_based) ?(extra_ops = 3) ?(max_trials = 60)
   ( { k; targets; entries = Array.of_list (List.rev !entries); per_target },
     List.rev !records )
 
-let generate ?(gen = Pattern_based) ?(extra_ops = 3) ?(max_trials = 60) ?pool fw
-    g ~targets ~k =
+let generate ?(extra_ops = 3) ?(max_trials = 60) ?pool fw g ~targets ~k =
   match pool with
   | Some pool ->
-    fst (generate_tracked ~gen ~extra_ops ~max_trials ~pool fw g ~targets ~k)
+    fst (generate_tracked ~extra_ops ~max_trials ~pool fw g ~targets ~k)
   | None ->
     Obs.Trace.with_span "suite.generate"
       ~args:
@@ -184,7 +177,7 @@ let generate ?(gen = Pattern_based) ?(extra_ops = 3) ?(max_trials = 60) ?pool fw
           Some (!count - 1)
         | _ -> None)
     in
-    let generate_one = make_generate_one ~gen ~extra_ops ~max_trials fw in
+    let generate_one = make_generate_one ~extra_ops ~max_trials fw in
     (* Sequential reference: one PRNG stream threaded through every
        target in order, queries checked and interned as they appear. *)
     let per_target =

@@ -25,10 +25,7 @@ type t = {
           an index can appear under several targets only via deduplication *)
 }
 
-type gen_method = Pattern_based | Random_based
-
 val generate :
-  ?gen:gen_method ->
   ?extra_ops:int ->
   ?max_trials:int ->
   ?pool:Par.Pool.t ->
@@ -37,8 +34,9 @@ val generate :
   targets:target list ->
   k:int ->
   t
-(** Generates TS_i for every target and the deduplicated overall suite.
-    Queries whose generation fails within [max_trials] are simply absent —
+(** Generates TS_i for every target and the deduplicated overall suite,
+    by PATTERN generation (§3): {!Query_gen.for_rule} for a singleton,
+    {!Query_gen.for_pair} for a pair. Queries whose generation fails within [max_trials] are simply absent —
     a target may end with fewer than [k] queries (reported by
     {!shortfall}). [extra_ops] (default 3) pads queries with random extra
     operators so suite costs vary, as with the paper's complex stochastic
@@ -67,7 +65,6 @@ type gen_record = {
 }
 
 val generate_tracked :
-  ?gen:gen_method ->
   ?extra_ops:int ->
   ?max_trials:int ->
   ?reuse:(int -> target -> (entry list * string list) option) ->

@@ -216,6 +216,7 @@ let new_memo ?catalog ?(rules = []) size =
 let memo_key = Domain.DLS.new_key (fun () -> new_memo 1)
 let drop_memo () = Domain.DLS.set memo_key (new_memo 1)
 let () = H.on_clear drop_memo
+let memo_entries () = Hashtbl.length (Domain.DLS.get memo_key).roots
 
 let memo_for catalog rules =
   let m = Domain.DLS.get memo_key in
@@ -674,9 +675,6 @@ module Reference = struct
 
   let optimize ?options ?rules catalog t0 =
     optimize_with ~explore ?options ?rules catalog t0
-
-  let drop_memo = drop_memo
-  let memo_entries () = Hashtbl.length (Domain.DLS.get memo_key).roots
 end
 
 let optimize ?options ?rules catalog t0 =

@@ -100,16 +100,15 @@ module Reference : sig
       every explored tree instead of replayed from the per-subtree
       memo: the same closure loop, costing pass and result, only
       slower. *)
-
-  val drop_memo : unit -> unit
-  (** Drop the calling domain's rewrite memo and reusable closure, but
-      not the hash-cons table, so the next production call explores
-      cold — for benchmarks and tests that must time or check a cold
-      call. *)
-
-  val memo_entries : unit -> int
-  (** Nodes in the calling domain's rewrite memo. *)
 end
+
+val drop_memo : unit -> unit
+(** Drop the calling domain's rewrite memo and reusable closure, but not
+    the hash-cons table, so the next {!optimize} call explores cold — for
+    benchmarks and tests that must time or check a cold call. *)
+
+val memo_entries : unit -> int
+(** Nodes in the calling domain's rewrite memo. *)
 
 val ruleset :
   ?options:options ->

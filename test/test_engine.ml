@@ -303,17 +303,17 @@ let test_reuse_counts_logical_calls () =
 
 let test_memo_dropped () =
   ignore (E.optimize cat filtered);
-  check bool_t "memo filled" true (E.Reference.memo_entries () > 0);
+  check bool_t "memo filled" true (E.memo_entries () > 0);
   Hashcons.clear ();
-  check int_t "empty after Hashcons.clear" 0 (E.Reference.memo_entries ());
+  check int_t "empty after Hashcons.clear" 0 (E.memo_entries ());
   ignore (E.optimize cat filtered);
   (* A one-node tree under another registry: the memo now holds that
      node alone, nothing of the previous registry's. *)
   let registry = [ Optimizer.Rules.find_exn "JoinCommute" ] in
   ignore (E.optimize ~rules:registry cat get1);
-  check int_t "registry switch starts a new memo" 1 (E.Reference.memo_entries ());
-  E.Reference.drop_memo ();
-  check int_t "empty after drop_memo" 0 (E.Reference.memo_entries ())
+  check int_t "registry switch starts a new memo" 1 (E.memo_entries ());
+  E.drop_memo ();
+  check int_t "empty after drop_memo" 0 (E.memo_entries ())
 
 let suite =
   [ ( "optimizer.engine",

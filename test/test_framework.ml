@@ -153,6 +153,50 @@ let test_padding_constraint () =
     check bool_t "padded queries are bigger" true (Relalg.Logical.size query >= 5);
     check bool_t "still valid" true (Result.is_ok (Relalg.Props.validate cat query))
 
+(* Golden digest of every (query option, trials) over a fixed grid of
+   all four generation methods, each call from a fresh PRNG and label
+   counter: pins the PRNG draws, the order of optimizer calls and the
+   trial counts of the shared trial loop. *)
+let golden_gen_digest = "09726d01cc67c5eeda18f7d3eb557bdc"
+
+let test_golden_generation () =
+  let fw = F.create cat in
+  let rules = List.filteri (fun i _ -> i < 20) Optimizer.Rules.names in
+  let first n = List.filteri (fun i _ -> i < n) rules in
+  let buf = Buffer.create 4096 in
+  let record (r : QG.generated option) =
+    Buffer.add_string buf
+      (Marshal.to_string (Option.map (fun (g : QG.generated) -> (g.query, g.trials)) r)
+         [ Marshal.No_sharing ])
+  in
+  let call seed f =
+    Relalg.Ident.reset_fresh ();
+    record (f (Storage.Prng.create seed))
+  in
+  List.iter
+    (fun rule ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun extra_ops -> call seed (fun g -> QG.for_rule ~extra_ops fw g rule))
+            [ 0; 2 ])
+        [ 1; 2; 3 ])
+    rules;
+  let five = first 5 in
+  List.iteri
+    (fun i r1 ->
+      List.iteri
+        (fun j r2 -> if i < j then call 1 (fun g -> QG.for_pair fw g (r1, r2)))
+        five)
+    five;
+  List.iter (fun rule -> call 1 (fun g -> QG.relevant_for_rule ~max_trials:20 fw g rule))
+    (first 6);
+  List.iter
+    (fun rule -> call 1 (fun g -> QG.random_for_rules ~max_trials:30 fw g [ rule ]))
+    (first 10);
+  check Alcotest.string "generation digest" golden_gen_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [ ( "core.framework",
       [ Alcotest.test_case "invocation counter" `Quick test_invocation_counter;
@@ -168,4 +212,5 @@ let suite =
         Alcotest.test_case "generated queries emit valid SQL" `Quick
           test_generated_queries_emit_sql;
         Alcotest.test_case "relevant-rule variant" `Slow test_relevant_generation;
-        Alcotest.test_case "operator padding" `Quick test_padding_constraint ] ) ]
+        Alcotest.test_case "operator padding" `Quick test_padding_constraint;
+        Alcotest.test_case "golden generation digest" `Quick test_golden_generation ] ) ]

@@ -164,13 +164,14 @@ let run_incremental ~pool ~dir rules =
   let fw = F.create ~options ~rules cat in
   let dc = Storage.Diskcache.create ~dir () in
   let sess = I.start ~dc ~desc:"test-incr" fw in
+  let preview = I.preview sess in
   let g = Storage.Prng.create seed in
   let suite = I.generate ~pool sess g ~targets ~k in
   let ec = C.edge_costs ~warm_edges:(I.warm_edges sess) fw suite in
   let sol = C.topk ~pool ~ec fw suite in
   I.note_matrix sess ec;
   check bool_t "manifest written" true (I.finish sess);
-  (outcome_of suite sol, I.result sess)
+  (outcome_of suite sol, I.result sess, preview)
 
 let check_equal name (cold : outcome) (incr : outcome) =
   check bool_t (name ^ ": entries") true (cold.o_entries = incr.o_entries);
@@ -182,9 +183,9 @@ let check_equal name (cold : outcome) (incr : outcome) =
 let test_incremental_noop_reuses_everything () =
   let pool = Par.Pool.create ~jobs:2 () in
   let dir = tmp_dir () in
-  let cold, r0 = run_incremental ~pool ~dir base_rules in
+  let cold, r0, _ = run_incremental ~pool ~dir base_rules in
   check bool_t "first run is cold" true r0.I.full_rebuild;
-  let warm, r = run_incremental ~pool ~dir base_rules in
+  let warm, r, _ = run_incremental ~pool ~dir base_rules in
   check_equal "noop rerun" cold warm;
   check int_t "all targets reused" (List.length targets) r.I.targets_reusable;
   check int_t "no edges recomputed" 0 r.I.edges_recomputed;
@@ -198,8 +199,13 @@ let test_incremental_edit_matches_cold () =
      depends on it recomputes and must reproduce the same bytes *)
   let edited = Optimizer.Rules.simulate_edit ~rules:base_rules (List.nth base_names 0) in
   let cold = run_cold ~pool edited in
-  let warm, r = run_incremental ~pool ~dir edited in
+  let warm, r, p = run_incremental ~pool ~dir edited in
   check_equal "edited rule" cold warm;
+  (* the delta preview predicted exactly what the run reused *)
+  check int_t "preview targets = reused" r.I.targets_reusable p.I.targets_reusable;
+  check int_t "preview target total" r.I.targets_total p.I.targets_total;
+  check int_t "preview edges = reused" r.I.edges_reusable p.I.edges_reusable;
+  check int_t "preview edge total" r.I.edges_total p.I.edges_total;
   check bool_t "not a full rebuild" true (not r.I.full_rebuild);
   check bool_t "something was reused" true (r.I.edges_reusable > 0);
   check bool_t "something was recomputed" true (r.I.edges_recomputed > 0)
@@ -207,14 +213,14 @@ let test_incremental_edit_matches_cold () =
 let test_incremental_jobs_invariant () =
   let dir1 = tmp_dir () and dir4 = tmp_dir () in
   let p1 = Par.Pool.create ~jobs:1 () and p4 = Par.Pool.create ~jobs:4 () in
-  let c1, _ = run_incremental ~pool:p1 ~dir:dir1 base_rules in
-  let c4, _ = run_incremental ~pool:p4 ~dir:dir4 base_rules in
+  let c1, _, _ = run_incremental ~pool:p1 ~dir:dir1 base_rules in
+  let c4, _, _ = run_incremental ~pool:p4 ~dir:dir4 base_rules in
   check_equal "cold jobs 1 vs 4" c1 c4;
   let edited = Optimizer.Rules.simulate_edit ~rules:base_rules (List.nth base_names 1) in
   (* warm rebuilds cross-wise: jobs 4 over the jobs-1 manifest and vice
      versa — manifests must be interchangeable *)
-  let w4, _ = run_incremental ~pool:p4 ~dir:dir1 edited in
-  let w1, _ = run_incremental ~pool:p1 ~dir:dir4 edited in
+  let w4, _, _ = run_incremental ~pool:p4 ~dir:dir1 edited in
+  let w1, _, _ = run_incremental ~pool:p1 ~dir:dir4 edited in
   check_equal "warm jobs 1 vs 4" w4 w1
 
 (* An inert body is a behavior-CHANGING edit (the rule stops firing):
@@ -240,7 +246,7 @@ let test_incremental_behavior_change_matches_cold () =
      column that consulted the rule must recompute *)
   let edited = inert (List.nth base_names 5) base_rules in
   let cold = run_cold ~pool edited in
-  let warm, _ = run_incremental ~pool ~dir edited in
+  let warm, _, _ = run_incremental ~pool ~dir edited in
   check_equal "inert edit" cold warm
 
 let test_incremental_removal_matches_cold () =
@@ -250,7 +256,7 @@ let test_incremental_removal_matches_cold () =
   let removed = List.nth base_names 6 in
   let rules = List.filter (fun (r : R.t) -> r.name <> removed) base_rules in
   let cold = run_cold ~pool rules in
-  let warm, _ = run_incremental ~pool ~dir rules in
+  let warm, _, _ = run_incremental ~pool ~dir rules in
   check_equal "removed rule" cold warm
 
 let test_incremental_addition_forces_full_rebuild () =
@@ -263,7 +269,7 @@ let test_incremental_addition_forces_full_rebuild () =
   in
   let rules = base_rules @ [ extra ] in
   let cold = run_cold ~pool rules in
-  let warm, r = run_incremental ~pool ~dir rules in
+  let warm, r, _ = run_incremental ~pool ~dir rules in
   check bool_t "addition forces full rebuild" true r.I.full_rebuild;
   check int_t "nothing served warm" 0 r.I.edges_reusable;
   check_equal "added rule" cold warm
@@ -331,7 +337,7 @@ let prop_incremental_equals_cold =
         (fun op ->
           rules := apply_op !rules op;
           let cold = run_cold ~pool !rules in
-          let warm, _ = run_incremental ~pool ~dir !rules in
+          let warm, _, _ = run_incremental ~pool ~dir !rules in
           cold.o_entries = warm.o_entries
           && cold.o_per_target = warm.o_per_target
           && cold.o_assignment = warm.o_assignment
