@@ -1030,7 +1030,7 @@ let execute_bench ~full =
   (* Deep trees re-using whole named subtrees (blend mentions score2,
      score *and* disc_price; quad mentions blend and score again): the
      per-row paths re-evaluate every duplicated occurrence, the batch
-     kernels share them per morsel. *)
+     kernels share them per batch. *)
   let blend =
     S.Arith
       ( S.Add,
@@ -1117,7 +1117,7 @@ let execute_bench ~full =
       ( "scan+compute-heavy+agg",
         (* Scalar-dominated: no filter, no sort — nearly all the work is
            deep arithmetic over every lineitem row, which is where batch
-           kernels (unboxed columns + per-morsel subtree sharing) pull
+           kernels (unboxed columns + per-batch subtree sharing) pull
            furthest ahead of per-row evaluation. *)
         P.HashAggregate
           { keys = [ I.make "l" "l_returnflag" ];

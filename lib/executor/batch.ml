@@ -57,12 +57,12 @@ type ctx = {
   mutable err : exn option array;
   mutable has_err : bool;
   (* Per-batch unboxed-column cache: [Some] once a column proved
-     all-float/NULL over the whole batch, [None] once it proved mixed.
-     Kernels sharing a column (several comparison leaves over the same
-     price column, say) pay the unboxing scan once per batch instead
-     of once per kernel. *)
-  mutable ucache : (int * (float array * bool array * bool) option) list;
-  (* Per-batch common-subexpression store for the unboxed fast path:
+     all-float (no NULL, no NaN) over the whole batch, [None] once it
+     proved otherwise. Kernels sharing a column (several arithmetic
+     trees over the same price column, say) pay the unboxing scan once
+     per batch instead of once per kernel. *)
+  mutable ucache : (int * float array option) list;
+  (* Per-batch common-subexpression store for the unboxed path:
      full-selection, division-free float subtrees evaluate once per
      batch no matter how many kernels (or how many occurrences inside
      one tree) mention them. Keyed structurally — column indices are
@@ -73,7 +73,6 @@ type ctx = {
 
 and fexpr =
   | FConst of float
-  | FNull
   | FCol of int
   | FNeg of fexpr
   | FOp of S.arith_op * fexpr * fexpr
@@ -128,23 +127,22 @@ let bad_bool_exn v =
   Invalid_argument ("Eval: expected boolean, got " ^ Value.to_sql v)
 
 (* ------------------------------------------------------------------ *)
-(* Unboxed float fast path                                             *)
+(* Unboxed float path                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* A maximal Arith/Neg/Const/Col subtree whose constants are floats can
-   evaluate entirely over unboxed [float array]s + null masks when — at
-   runtime — every referenced column holds only floats and NULLs in the
-   current batch: Float⊙Float semantics never raises, never produces an
-   Int, and division by zero yields NULL via the mask, so the fused loop
-   is observationally identical to node-wise generic evaluation. NaN
-   columns (absent from generated data, but cheap to guard) fall back to
-   the generic path, whose [Stdlib.compare]-based semantics NaN-raw
-   float comparisons would not reproduce. *)
+   evaluate entirely over unboxed [float array]s when — at runtime —
+   every referenced column holds only floats in the current batch:
+   Float⊙Float semantics never raises, never produces an Int, and
+   division by zero (the only NULL source left) is recorded in one mask,
+   so the loops are observationally identical to node-wise generic
+   evaluation. A NULL, a NaN or any other value in a referenced column
+   sends the whole batch to the generic kernels, as does a NULL
+   literal. *)
 
 let rec float_plan cols (e : S.t) : fexpr option =
   match e with
   | S.Const (Value.Float f) when not (Float.is_nan f) -> Some (FConst f)
-  | S.Const Value.Null -> Some FNull
   | S.Col id -> Some (FCol (column_index cols id))
   | S.Neg a -> Option.map (fun fa -> FNeg fa) (float_plan cols a)
   | S.Arith (op, a, b) -> (
@@ -154,44 +152,16 @@ let rec float_plan cols (e : S.t) : fexpr option =
   | _ -> None
 
 let rec fexpr_cols acc = function
-  | FConst _ | FNull -> acc
+  | FConst _ -> acc
   | FCol c -> if List.mem c acc then acc else c :: acc
   | FNeg a -> fexpr_cols acc a
   | FOp (_, a, b) -> fexpr_cols (fexpr_cols acc a) b
 
-(* Unbox one column over the *whole batch* (so the result is valid for
-   any selection and cacheable per ctx): [None] unless every value is a
-   (non-NaN) float or NULL. The third component records whether any
-   NULL was seen — when it's [false] the mask is all-false and the
-   closure-compiled no-mask fast path applies. *)
-let unbox_col ctx c =
-  let rec find = function
-    | (c', r) :: rest -> if c' = c then r else find rest
-    | [] ->
-      let n = ctx.n in
-      let buf = Array.make n 0.0 in
-      let mask = Array.make n false in
-      let has_null = ref false in
-      let okay = ref true in
-      let r = ref 0 in
-      while !okay && !r < n do
-        (match (Array.unsafe_get ctx.rows !r).(c) with
-        | Value.Float x when not (Float.is_nan x) -> Array.unsafe_set buf !r x
-        | Value.Null ->
-          Array.unsafe_set mask !r true;
-          has_null := true
-        | _ -> okay := false);
-        incr r
-      done;
-      let res = if !okay then Some (buf, mask, !has_null) else None in
-      ctx.ucache <- (c, res) :: ctx.ucache;
-      res
-  in
-  find ctx.ucache
-
-(* Unbox several columns in one pass over the rows (each row object is
-   loaded once however many columns an expression references), filling
-   the ctx cache; already-cached columns are skipped. *)
+(* Unbox the columns an expression references over the *whole batch*
+   (so each buffer serves any selection and is cacheable per ctx), in
+   one pass over the rows — each row object is loaded once however many
+   columns the expression references. Already-cached columns are
+   skipped; [None] unless every referenced column is all-float. *)
 let unbox_cols ctx cols_idx =
   (match
      List.filter (fun c -> not (List.mem_assoc c ctx.ucache)) cols_idx
@@ -201,8 +171,6 @@ let unbox_cols ctx cols_idx =
     let cs = Array.of_list missing in
     let m = Array.length cs in
     let bufs = Array.init m (fun _ -> Array.make ctx.n 0.0) in
-    let masks = Array.init m (fun _ -> Array.make ctx.n false) in
-    let hasn = Array.make m false in
     let okay = Array.make m true in
     for r = 0 to ctx.n - 1 do
       let row = Array.unsafe_get ctx.rows r in
@@ -211,231 +179,93 @@ let unbox_cols ctx cols_idx =
           match row.(Array.unsafe_get cs j) with
           | Value.Float x when not (Float.is_nan x) ->
             Array.unsafe_set (Array.unsafe_get bufs j) r x
-          | Value.Null ->
-            (Array.unsafe_get masks j).(r) <- true;
-            hasn.(j) <- true
           | _ -> okay.(j) <- false
       done
     done;
-    for j = 0 to m - 1 do
-      ctx.ucache <-
-        ( cs.(j),
-          if okay.(j) then Some (bufs.(j), masks.(j), hasn.(j)) else None )
-        :: ctx.ucache
-    done);
+    Array.iteri
+      (fun j c ->
+        ctx.ucache <-
+          (c, if okay.(j) then Some bufs.(j) else None) :: ctx.ucache)
+      cs);
   let rec go acc = function
     | [] -> Some acc
     | c :: rest -> (
-      match unbox_col ctx c with
-      | Some v -> go ((c, v) :: acc) rest
+      match List.assoc c ctx.ucache with
+      | Some buf -> go ((c, buf) :: acc) rest
       | None -> None)
   in
   go [] cols_idx
 
-let rec has_fnull = function
-  | FNull -> true
-  | FConst _ | FCol _ -> false
-  | FNeg a -> has_fnull a
-  | FOp (_, a, b) -> has_fnull a || has_fnull b
-
 let rec has_fdiv = function
-  | FConst _ | FNull | FCol _ -> false
+  | FConst _ | FCol _ -> false
   | FNeg a -> has_fdiv a
   | FOp (S.Div, _, _) -> true
   | FOp (_, a, b) -> has_fdiv a || has_fdiv b
 
-(* Node-wise masked evaluation — the general form, used whenever NULLs
-   are in play (nullable column or NULL literal). *)
-let rec feval ctx sel env = function
-  | FConst f -> (Array.make ctx.n f, Array.make ctx.n false)
-  | FNull -> (Array.make ctx.n 0.0, Array.make ctx.n true)
-  | FCol c ->
-    let buf, mask, _ = List.assoc c env in
-    (buf, mask)
-  | FNeg a ->
-    let va, ma = feval ctx sel env a in
-    let buf = Array.make ctx.n 0.0 in
-    let len = Array.length sel in
-    for k = 0 to len - 1 do
-      let i = Array.unsafe_get sel k in
-      buf.(i) <- -.va.(i)
-    done;
-    (buf, ma)
-  | FOp (op, a, b) ->
-    let va, ma = feval ctx sel env a in
-    let vb, mb = feval ctx sel env b in
-    let buf = Array.make ctx.n 0.0 in
-    let mask = Array.make ctx.n false in
-    let len = Array.length sel in
-    (match op with
-    | S.Add ->
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        mask.(i) <- ma.(i) || mb.(i);
-        buf.(i) <- va.(i) +. vb.(i)
-      done
-    | S.Sub ->
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        mask.(i) <- ma.(i) || mb.(i);
-        buf.(i) <- va.(i) -. vb.(i)
-      done
-    | S.Mul ->
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        mask.(i) <- ma.(i) || mb.(i);
-        buf.(i) <- va.(i) *. vb.(i)
-      done
-    | S.Div ->
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        if ma.(i) || mb.(i) || vb.(i) = 0.0 then mask.(i) <- true
-        else buf.(i) <- va.(i) /. vb.(i)
-      done);
-    (buf, mask)
-
-(* NULL-free fast path: one tight unboxed loop per node, no masks, no
-   per-row closure calls, no boxed intermediates (float array reads and
-   writes stay unboxed, which per-node closures could not — an
-   [int -> float] closure boxes every return). Constant operands fold
-   into the loop instead of materializing a column. Division (the only
-   NULL source left once columns are NULL-free and the tree has no NULL
-   literal) records into the shared [dmask]; a masked row's 0.0
-   placeholder may feed parent nodes, but the mask stays set so the
-   garbage is never materialized — exactly [feval]'s propagation. *)
-let rec feval_nm ctx sel (env : (int * float array) list)
-    (dmask : bool array) fe : float array =
+(* One tight unboxed loop per node: no per-row closure calls, no boxed
+   intermediates (float array reads and writes stay unboxed, which
+   per-node closures could not — an [int -> float] closure boxes every
+   return). Division by zero records into the shared [dmask]; a masked
+   row's 0.0 placeholder may feed parent nodes, but the mask stays set,
+   so the garbage is never materialized — NULL propagates to the root as
+   it does through [Value.div]'s callers. *)
+let rec feval ctx sel (env : (int * float array) list) (dmask : bool array)
+    fe : float array =
   match fe with
   | FConst f -> Array.make ctx.n f
-  | FNull -> assert false (* callers exclude via [has_fnull] *)
   | FCol c -> List.assoc c env
-  | FNeg _ | FOp _ ->
+  | FNeg _ | FOp _ when has_fdiv fe -> feval_node ctx sel env dmask fe
+  | FNeg _ | FOp _ -> (
     (* Common-subexpression elimination per batch: a full-selection,
        division-free subtree evaluates once and is shared — both across
        repeated occurrences inside one tree and across the kernels of
        one operator (they share the ctx). Division is excluded because
-       its NULLs live in the caller's dmask, not in the buffer. *)
-    if not (has_fdiv fe) then (
-      match List.assoc_opt fe ctx.fmemo with
-      | Some buf -> buf (* full-sel buffers serve any narrower sel *)
-      | None ->
-        let buf = feval_nm_node ctx sel env dmask fe in
-        if Array.length sel = ctx.n then ctx.fmemo <- (fe, buf) :: ctx.fmemo;
-        buf)
-    else feval_nm_node ctx sel env dmask fe
+       its NULLs live in the caller's [dmask], not in the buffer. *)
+    match List.assoc_opt fe ctx.fmemo with
+    | Some buf -> buf (* full-sel buffers serve any narrower sel *)
+    | None ->
+      let buf = feval_node ctx sel env dmask fe in
+      if Array.length sel = ctx.n then ctx.fmemo <- (fe, buf) :: ctx.fmemo;
+      buf)
 
-and feval_nm_node ctx sel env dmask fe : float array =
-  match fe with
-  | FConst _ | FNull | FCol _ -> assert false (* handled by [feval_nm] *)
+and feval_node ctx sel env dmask fe : float array =
+  let buf = Array.make ctx.n 0.0 in
+  let len = Array.length sel in
+  (match fe with
+  | FConst _ | FCol _ -> assert false (* handled by [feval] *)
   | FNeg a ->
-    let va = feval_nm ctx sel env dmask a in
-    let buf = Array.make ctx.n 0.0 in
-    let len = Array.length sel in
+    let va = feval ctx sel env dmask a in
     for k = 0 to len - 1 do
       let i = Array.unsafe_get sel k in
       Array.unsafe_set buf i (-.Array.unsafe_get va i)
-    done;
-    buf
-  | FOp (op, a, b) ->
-    let buf = Array.make ctx.n 0.0 in
-    let len = Array.length sel in
-    (match (op, a, b) with
-    | S.Add, a, FConst cb ->
-      let va = feval_nm ctx sel env dmask a in
+    done
+  | FOp (op, a, b) -> (
+    let va = feval ctx sel env dmask a in
+    let vb = feval ctx sel env dmask b in
+    match op with
+    | S.Add ->
       for k = 0 to len - 1 do
         let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i (Array.unsafe_get va i +. cb)
+        Array.unsafe_set buf i (Array.unsafe_get va i +. Array.unsafe_get vb i)
       done
-    | S.Add, FConst ca, b ->
-      let vb = feval_nm ctx sel env dmask b in
+    | S.Sub ->
       for k = 0 to len - 1 do
         let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i (ca +. Array.unsafe_get vb i)
+        Array.unsafe_set buf i (Array.unsafe_get va i -. Array.unsafe_get vb i)
       done
-    | S.Add, a, b ->
-      let va = feval_nm ctx sel env dmask a in
-      let vb = feval_nm ctx sel env dmask b in
+    | S.Mul ->
       for k = 0 to len - 1 do
         let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i
-          (Array.unsafe_get va i +. Array.unsafe_get vb i)
+        Array.unsafe_set buf i (Array.unsafe_get va i *. Array.unsafe_get vb i)
       done
-    | S.Sub, a, FConst cb ->
-      let va = feval_nm ctx sel env dmask a in
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i (Array.unsafe_get va i -. cb)
-      done
-    | S.Sub, FConst ca, b ->
-      let vb = feval_nm ctx sel env dmask b in
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i (ca -. Array.unsafe_get vb i)
-      done
-    | S.Sub, a, b ->
-      let va = feval_nm ctx sel env dmask a in
-      let vb = feval_nm ctx sel env dmask b in
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i
-          (Array.unsafe_get va i -. Array.unsafe_get vb i)
-      done
-    | S.Mul, a, FConst cb ->
-      let va = feval_nm ctx sel env dmask a in
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i (Array.unsafe_get va i *. cb)
-      done
-    | S.Mul, FConst ca, b ->
-      let vb = feval_nm ctx sel env dmask b in
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i (ca *. Array.unsafe_get vb i)
-      done
-    | S.Mul, a, b ->
-      let va = feval_nm ctx sel env dmask a in
-      let vb = feval_nm ctx sel env dmask b in
-      for k = 0 to len - 1 do
-        let i = Array.unsafe_get sel k in
-        Array.unsafe_set buf i
-          (Array.unsafe_get va i *. Array.unsafe_get vb i)
-      done
-    | S.Div, a, FConst cb ->
-      let va = feval_nm ctx sel env dmask a in
-      if cb = 0.0 then
-        for k = 0 to len - 1 do
-          dmask.(Array.unsafe_get sel k) <- true
-        done
-      else
-        for k = 0 to len - 1 do
-          let i = Array.unsafe_get sel k in
-          Array.unsafe_set buf i (Array.unsafe_get va i /. cb)
-        done
-    | S.Div, a, b ->
-      let va = feval_nm ctx sel env dmask a in
-      let vb = feval_nm ctx sel env dmask b in
+    | S.Div ->
       for k = 0 to len - 1 do
         let i = Array.unsafe_get sel k in
         let d = Array.unsafe_get vb i in
         if d = 0.0 then dmask.(i) <- true
         else Array.unsafe_set buf i (Array.unsafe_get va i /. d)
-      done);
-    buf
-
-let fenv_of env = List.map (fun (c, (b, _, _)) -> (c, (b : float array))) env
-let env_has_null env = List.exists (fun (_, (_, _, hn)) -> hn) env
-
-(* Monomorphic float comparisons: the polymorphic operators would go
-   through the generic compare runtime per row. NaN never reaches these
-   from a column (unboxing bails), and a computed NaN compares the same
-   way the polymorphic operators compare raw floats. *)
-let float_cmp : S.cmp_op -> float -> float -> bool = function
-  | S.Eq -> fun a b -> a = b
-  | S.Ne -> fun a b -> a <> b
-  | S.Lt -> fun a b -> a < b
-  | S.Le -> fun a b -> a <= b
-  | S.Gt -> fun a b -> a > b
-  | S.Ge -> fun a b -> a >= b
+      done));
+  buf
 
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
@@ -532,19 +362,15 @@ let rec scalar (cols : Ident.t array) (e : S.t) : kernel =
     match float_plan cols e with
     | Some fe -> fused_arith cols e fe
     | None -> generic_arith cols e)
-  | S.Cmp (op, a, b) -> (
+  | S.Cmp (op, a, b) ->
     let cmp = cmp_fn op in
-    let generic () =
-      let ka = scalar cols a and kb = scalar cols b in
-      map2
-        (fun va vb ->
-          match cmp va vb with None -> Value.Null | Some b -> vbool b)
-        ka kb
-    in
-    match (float_plan cols a, float_plan cols b) with
-    | Some fa, Some fb -> fused_cmp op fa fb generic
-    | _ -> generic ())
+    map2
+      (fun va vb -> match cmp va vb with None -> Value.Null | Some b -> vbool b)
+      (scalar cols a) (scalar cols b)
   | S.And (a, b) ->
+    (* The right side runs over a's TRUE ∪ NULL rows: FALSE rows are
+       short-circuited, NULL rows still observe b's errors (the row path
+       evaluates b to tell NULL from FALSE). *)
     let ka = scalar cols a and kb = scalar cols b in
     fun ctx sel ->
       let ca = ka ctx sel in
@@ -573,6 +399,7 @@ let rec scalar (cols : Ident.t array) (e : S.t) : kernel =
         sub;
       out
   | S.Or (a, b) ->
+    (* The right side runs over a's FALSE ∪ NULL rows. *)
     let ka = scalar cols a and kb = scalar cols b in
     fun ctx sel ->
       let ca = ka ctx sel in
@@ -626,355 +453,24 @@ and generic_arith cols e : kernel =
     map2_arith f (scalar cols a) (scalar cols b)
   | _ -> assert false
 
+(* The unboxed evaluation of a float subtree, or — when some referenced
+   column is not all-float in this batch — its generic kernel. *)
 and fused_arith cols e fe : kernel =
   let cols_idx = fexpr_cols [] fe in
   let generic = generic_arith cols e in
-  let fnull = has_fnull fe in
-  let fdiv = has_fdiv fe in
   fun ctx sel ->
     match unbox_cols ctx cols_idx with
     | None -> generic ctx sel
     | Some env ->
+      let dmask = Array.make ctx.n false in
+      let buf = feval ctx sel env dmask fe in
       let out = Array.make ctx.n Value.Null in
-      let len = Array.length sel in
-      if fnull || env_has_null env then begin
-        let buf, mask = feval ctx sel env fe in
-        for k = 0 to len - 1 do
-          let i = Array.unsafe_get sel k in
-          if not (Array.unsafe_get mask i) then
-            Array.unsafe_set out i (Value.Float (Array.unsafe_get buf i))
-        done
-      end
-      else begin
-        let fenv = fenv_of env in
-        if fdiv then begin
-          let dmask = Array.make ctx.n false in
-          let buf = feval_nm ctx sel fenv dmask fe in
-          for k = 0 to len - 1 do
-            let i = Array.unsafe_get sel k in
-            if not (Array.unsafe_get dmask i) then
-              Array.unsafe_set out i (Value.Float (Array.unsafe_get buf i))
-          done
-        end
-        else begin
-          let buf = feval_nm ctx sel fenv [||] fe in
-          for k = 0 to len - 1 do
-            let i = Array.unsafe_get sel k in
-            Array.unsafe_set out i (Value.Float (Array.unsafe_get buf i))
-          done
-        end
-      end;
-      out
-
-and fused_cmp op fa fb generic : kernel =
-  let cols_idx = fexpr_cols (fexpr_cols [] fa) fb in
-  let generic = generic () in
-  let fnull = has_fnull fa || has_fnull fb in
-  let fdiv = has_fdiv fa || has_fdiv fb in
-  let cmpf = float_cmp op in
-  fun ctx sel ->
-    match unbox_cols ctx cols_idx with
-    | None -> generic ctx sel
-    | Some env ->
-      let out = Array.make ctx.n Value.Null in
-      let len = Array.length sel in
-      if fnull || env_has_null env then begin
-        let va, ma = feval ctx sel env fa in
-        let vb, mb = feval ctx sel env fb in
-        for k = 0 to len - 1 do
-          let i = Array.unsafe_get sel k in
-          if not (ma.(i) || mb.(i)) then
-            Array.unsafe_set out i (vbool (cmpf va.(i) vb.(i)))
-        done
-      end
-      else begin
-        let fenv = fenv_of env in
-        if fdiv then begin
-          let dmask = Array.make ctx.n false in
-          let va = feval_nm ctx sel fenv dmask fa in
-          let vb = feval_nm ctx sel fenv dmask fb in
-          for k = 0 to len - 1 do
-            let i = Array.unsafe_get sel k in
-            if not (Array.unsafe_get dmask i) then
-              Array.unsafe_set out i
-                (vbool (cmpf (Array.unsafe_get va i) (Array.unsafe_get vb i)))
-          done
-        end
-        else begin
-          let va = feval_nm ctx sel fenv [||] fa in
-          let vb = feval_nm ctx sel fenv [||] fb in
-          for k = 0 to len - 1 do
-            let i = Array.unsafe_get sel k in
-            Array.unsafe_set out i
-              (vbool (cmpf (Array.unsafe_get va i) (Array.unsafe_get vb i)))
-          done
-        end
-      end;
-      out
-
-(* ------------------------------------------------------------------ *)
-(* Selection transformers (filter fast path)                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A filter doesn't need its predicate as a column. Compile it to a
-   *selection transformer* returning the TRUE and NULL row sets
-   (ascending): AND narrows the selection before its right side runs,
-   OR evaluates its right side only over rows the left didn't already
-   accept — the short-circuiting a row-at-a-time loop performs, but
-   batched — and comparison leaves over NULL-free float columns run as
-   tight unboxed loops that never box a single Bool. Error parity with
-   the row path holds node by node: the right side is evaluated over
-   exactly the rows whose left side came out TRUE/NULL (AND) or
-   FALSE/NULL (OR), rows short-circuited away never observe right-side
-   errors, erred rows drop out of every set, and [check] raises the
-   lowest erroring row. *)
-
-(* Merge two disjoint ascending index arrays. *)
-let merge_asc a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then b
-  else if lb = 0 then a
-  else begin
-    let out = Array.make (la + lb) 0 in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to la + lb - 1 do
-      if !i < la && (!j >= lb || a.(!i) < b.(!j)) then begin
-        out.(k) <- a.(!i);
-        incr i
-      end
-      else begin
-        out.(k) <- b.(!j);
-        incr j
-      end
-    done;
-    out
-  end
-
-type selfn = ctx -> int array -> int array * int array
-
-(* Direct per-row access for leaf operands that need no kernel. *)
-let fetcher cols (e : S.t) : (ctx -> int -> Value.t) option =
-  match e with
-  | S.Const v -> Some (fun _ _ -> v)
-  | S.Col id ->
-    let c = column_index cols id in
-    Some (fun ctx i -> (Array.unsafe_get ctx.rows i).(c))
-  | _ -> None
-
-(* [cmp_fn] on the ordering [cmp_sql] produces; shared by the mono-typed
-   fast arms below so they agree with the generic path bit for bit
-   ([Stdlib.compare] semantics, including NaN). *)
-let ord_cmp : S.cmp_op -> int -> bool = function
-  | S.Eq -> fun c -> c = 0
-  | S.Ne -> fun c -> c <> 0
-  | S.Lt -> fun c -> c < 0
-  | S.Le -> fun c -> c <= 0
-  | S.Gt -> fun c -> c > 0
-  | S.Ge -> fun c -> c >= 0
-
-let sel_partition op cmp geta getb : selfn =
-  let oc = ord_cmp op in
-  fun ctx sel ->
-    let len = Array.length sel in
-    let t = Ivec.create len and nl = Ivec.create len in
-    for k = 0 to len - 1 do
-      let i = Array.unsafe_get sel k in
-      if ok ctx i then (
-        match (geta ctx i, getb ctx i) with
-        | Value.Int x, Value.Int y ->
-          if oc (Stdlib.compare (x : int) y) then Ivec.push t i
-        | Value.Float x, Value.Float y ->
-          if oc (Float.compare x y) then Ivec.push t i
-        | va, vb -> (
-          match cmp va vb with
-          | Some true -> Ivec.push t i
-          | Some false -> ()
-          | None -> Ivec.push nl i
-          | exception e -> set_err ctx i e))
-    done;
-    (Ivec.to_array t, Ivec.to_array nl)
-
-(* Any boolean-valued expression as a selector: evaluate the column,
-   partition. The [ok] guard matters — rows erred during kernel
-   evaluation hold garbage in the column. *)
-let sel_of_kernel (k : kernel) : selfn =
- fun ctx sel ->
-  let col = k ctx sel in
-  let len = Array.length sel in
-  let t = Ivec.create len and nl = Ivec.create len in
-  for j = 0 to len - 1 do
-    let i = Array.unsafe_get sel j in
-    if ok ctx i then
-      match Array.unsafe_get col i with
-      | Value.Bool true -> Ivec.push t i
-      | Value.Bool false -> ()
-      | Value.Null -> Ivec.push nl i
-      | v -> set_err ctx i (bad_bool_exn v)
-  done;
-  (Ivec.to_array t, Ivec.to_array nl)
-
-let sel_cmp_fused op fa fb (fallback : selfn) : selfn =
-  let cols_idx = fexpr_cols (fexpr_cols [] fa) fb in
-  let fnull = has_fnull fa || has_fnull fb in
-  let fdiv = has_fdiv fa || has_fdiv fb in
-  let cmpf = float_cmp op in
-  fun ctx sel ->
-    match unbox_cols ctx cols_idx with
-    | None -> fallback ctx sel
-    | Some env ->
-      let len = Array.length sel in
-      let t = Ivec.create len in
-      if fnull || env_has_null env then begin
-        let va, ma = feval ctx sel env fa in
-        let vb, mb = feval ctx sel env fb in
-        let nl = Ivec.create len in
-        for k = 0 to len - 1 do
-          let i = Array.unsafe_get sel k in
-          if ma.(i) || mb.(i) then Ivec.push nl i
-          else if cmpf va.(i) vb.(i) then Ivec.push t i
-        done;
-        (Ivec.to_array t, Ivec.to_array nl)
-      end
-      else begin
-        let fenv = fenv_of env in
-        if fdiv then begin
-          let dmask = Array.make ctx.n false in
-          let va = feval_nm ctx sel fenv dmask fa in
-          let vb = feval_nm ctx sel fenv dmask fb in
-          let nl = Ivec.create len in
-          for k = 0 to len - 1 do
-            let i = Array.unsafe_get sel k in
-            if Array.unsafe_get dmask i then Ivec.push nl i
-            else if cmpf (Array.unsafe_get va i) (Array.unsafe_get vb i) then
-              Ivec.push t i
-          done;
-          (Ivec.to_array t, Ivec.to_array nl)
-        end
-        else begin
-          let va = feval_nm ctx sel fenv [||] fa in
-          let vb = feval_nm ctx sel fenv [||] fb in
-          for k = 0 to len - 1 do
-            let i = Array.unsafe_get sel k in
-            if cmpf (Array.unsafe_get va i) (Array.unsafe_get vb i) then
-              Ivec.push t i
-          done;
-          (Ivec.to_array t, [||])
-        end
-      end
-
-let rec selector (cols : Ident.t array) (e : S.t) : selfn =
-  match e with
-  | S.And (a, b) ->
-    let sa = selector cols a and sb = selector cols b in
-    fun ctx sel ->
-      let ta, na = sa ctx sel in
-      (* The right side runs over a's TRUE ∪ NULL rows: FALSE rows are
-         short-circuited, NULL rows still observe b's errors (the row
-         path evaluates b to tell NULL from FALSE). *)
-      let dom = merge_asc ta na in
-      let tb, nb = sb ctx dom in
-      if Array.length na = 0 && Array.length nb = 0 then (tb, [||])
-      else begin
-        let am = Bytes.make ctx.n '\000' in
-        Array.iter (fun i -> Bytes.unsafe_set am i '\001') ta;
-        let bm = Bytes.make ctx.n '\000' in
-        Array.iter (fun i -> Bytes.unsafe_set bm i '\001') tb;
-        Array.iter (fun i -> Bytes.unsafe_set bm i '\002') nb;
-        let ld = Array.length dom in
-        let t = Ivec.create ld and nl = Ivec.create ld in
-        Array.iter
-          (fun i ->
-            match Bytes.unsafe_get bm i with
-            | '\001' ->
-              if Bytes.unsafe_get am i = '\001' then Ivec.push t i
-              else Ivec.push nl i
-            | '\002' -> Ivec.push nl i
-            | _ -> ())
-          dom;
-        (Ivec.to_array t, Ivec.to_array nl)
-      end
-  | S.Or (a, b) ->
-    let sa = selector cols a and sb = selector cols b in
-    fun ctx sel ->
-      let ta, na = sa ctx sel in
-      (* The right side runs over a's FALSE ∪ NULL rows — everything in
-         [sel] the left didn't accept, minus erred rows. [ta] ascends
-         inside [sel], so a two-pointer subtraction needs no mark
-         array. *)
-      let len = Array.length sel in
-      let lta = Array.length ta in
-      let fd = Ivec.create (len - lta) in
-      let p = ref 0 in
-      for k = 0 to len - 1 do
+      for k = 0 to Array.length sel - 1 do
         let i = Array.unsafe_get sel k in
-        if !p < lta && Array.unsafe_get ta !p = i then incr p
-        else if ok ctx i then Ivec.push fd i
+        if not (Array.unsafe_get dmask i) then
+          Array.unsafe_set out i (Value.Float (Array.unsafe_get buf i))
       done;
-      let dom = Ivec.to_array fd in
-      let tb, nb = sb ctx dom in
-      let t = merge_asc ta tb in
-      if Array.length na = 0 && Array.length nb = 0 then (t, [||])
-      else begin
-        let am = Bytes.make ctx.n '\000' in
-        Array.iter (fun i -> Bytes.unsafe_set am i '\001') na;
-        let bm = Bytes.make ctx.n '\000' in
-        Array.iter (fun i -> Bytes.unsafe_set bm i '\001') tb;
-        Array.iter (fun i -> Bytes.unsafe_set bm i '\002') nb;
-        let nl = Ivec.create (Array.length dom) in
-        Array.iter
-          (fun i ->
-            if Bytes.unsafe_get am i = '\001' then begin
-              (* a NULL: b FALSE or NULL → NULL (b TRUE → already kept) *)
-              if Bytes.unsafe_get bm i <> '\001' && ok ctx i then
-                Ivec.push nl i
-            end
-            else if Bytes.unsafe_get bm i = '\002' then Ivec.push nl i)
-          dom;
-        (t, Ivec.to_array nl)
-      end
-  | S.Cmp (op, a, b) -> (
-    let cmp = cmp_fn op in
-    let gen_leaf =
-      match (fetcher cols a, fetcher cols b) with
-      | Some ga, Some gb -> sel_partition op cmp ga gb
-      | _ ->
-        let ka = scalar cols a and kb = scalar cols b in
-        fun ctx sel ->
-          let ca = ka ctx sel in
-          let cb = kb ctx sel in
-          sel_partition op cmp
-            (fun _ i -> Array.unsafe_get ca i)
-            (fun _ i -> Array.unsafe_get cb i)
-            ctx sel
-    in
-    match (float_plan cols a, float_plan cols b) with
-    | Some fa, Some fb -> sel_cmp_fused op fa fb gen_leaf
-    | _ -> gen_leaf)
-  | S.IsNull a when fetcher cols a <> None -> (
-    match fetcher cols a with
-    | Some g ->
-      fun ctx sel ->
-        let len = Array.length sel in
-        let t = Ivec.create len in
-        for k = 0 to len - 1 do
-          let i = Array.unsafe_get sel k in
-          if ok ctx i && Value.is_null (g ctx i) then Ivec.push t i
-        done;
-        (Ivec.to_array t, [||])
-    | None -> assert false)
-  | S.IsNotNull a when fetcher cols a <> None -> (
-    match fetcher cols a with
-    | Some g ->
-      fun ctx sel ->
-        let len = Array.length sel in
-        let t = Ivec.create len in
-        for k = 0 to len - 1 do
-          let i = Array.unsafe_get sel k in
-          if ok ctx i && not (Value.is_null (g ctx i)) then Ivec.push t i
-        done;
-        (Ivec.to_array t, [||])
-    | None -> assert false)
-  | _ -> sel_of_kernel (scalar cols e)
+      out
 
 (* Evaluate a kernel over one whole batch and materialize: the column,
    or the lowest erroring row's error. *)
@@ -984,13 +480,23 @@ let eval_column (k : kernel) rows =
   check ctx;
   col
 
-(* A selector over one batch: the ascending indices of its TRUE rows, or
-   the lowest erroring row's error. *)
-let keep (sf : selfn) rows =
+(* A predicate kernel over one batch: the ascending indices of its TRUE
+   rows, or the lowest erroring row's error. A non-boolean predicate
+   value is its row's error, as in [Eval.pred_true]; the [ok] guard
+   matters — rows erred during evaluation hold garbage in the column. *)
+let keep (k : kernel) rows =
   let ctx = make_ctx rows in
-  let kept, _nulls = sf ctx (full_sel ctx.n) in
+  let col = k ctx (full_sel ctx.n) in
+  let kept = Ivec.create ctx.n in
+  for i = 0 to ctx.n - 1 do
+    if ok ctx i then
+      match Array.unsafe_get col i with
+      | Value.Bool true -> Ivec.push kept i
+      | Value.Bool false | Value.Null -> ()
+      | v -> set_err ctx i (bad_bool_exn v)
+  done;
   check ctx;
-  kept
+  Ivec.to_array kept
 
 (* ------------------------------------------------------------------ *)
 (* Plan compilation: one batch per operator                            *)
@@ -1028,7 +534,7 @@ let compute (kernels : kernel array) rows =
    candidates; the identity when the residual is TRUE. *)
 let residual_filter cols r =
   if S.equal r S.true_ then fun _ _ candidates -> candidates
-  else Relops.filter_matches (keep (selector cols r))
+  else Relops.filter_matches (keep (scalar cols r))
 
 let rec node catalog (p : P.t) : t =
   let sub = node catalog in
@@ -1049,12 +555,12 @@ let rec node catalog (p : P.t) : t =
         { cols; gen = (fun () -> rows) })
     | P.FilterOp { pred = pr; child } ->
       let c = sub child in
-      let sf = selector c.cols pr in
+      let k = scalar c.cols pr in
       { cols = c.cols;
         gen =
           (fun () ->
             let rows = c.gen () in
-            Array.map (fun i -> Array.unsafe_get rows i) (keep sf rows)) }
+            Array.map (fun i -> Array.unsafe_get rows i) (keep k rows)) }
     | P.ComputeScalar { cols; child } ->
       let c = sub child in
       let out_cols = Array.of_list (List.map fst cols) in
@@ -1064,14 +570,14 @@ let rec node catalog (p : P.t) : t =
       { cols = out_cols; gen = (fun () -> compute kernels (c.gen ())) }
     | P.NestedLoopsJoin { kind; pred = pr; left; right } ->
       let l = sub left and r = sub right in
-      let sf = selector (Array.append l.cols r.cols) pr in
+      let k = scalar (Array.append l.cols r.cols) pr in
       let la = Array.length l.cols and ra = Array.length r.cols in
       { cols = Relops.join_cols kind l.cols r.cols;
         gen =
           (fun () ->
             let larr = l.gen () and rarr = r.gen () in
             Relops.join_rows kind ~left_arity:la ~right_arity:ra larr rarr
-              (Relops.nested_loops_matches (keep sf) larr rarr)) }
+              (Relops.nested_loops_matches (keep k) larr rarr)) }
     | P.HashJoin { kind; left_keys; right_keys; residual; left; right } ->
       let l = sub left and r = sub right in
       let lidx = key_indices l.cols left_keys in

@@ -3,14 +3,16 @@
 
     Scalars compile to {!kernel}s evaluating a whole batch of rows into
     a [Value.t array] column at a time (one tight loop per expression
-    node instead of a closure call per row per node), with a fused
-    unboxed [float array] fast path for arithmetic/comparison subtrees
-    over all-float columns. Plans compile to a tree of row generators
-    ({!t}). Each operator runs its expressions as one batch over its
-    whole input: a filter, a projection, a join residual over every
-    candidate pair ({!Relops.filter_matches}), an aggregate argument per
-    group; a nested-loops join runs one batch per left row. Everything
-    relational is {!Relops}, shared with the interpreter.
+    node instead of a closure call per row per node), with an unboxed
+    [float array] path for arithmetic subtrees over NULL-free float
+    columns. Every expression compiles once, here: a predicate operator
+    keeps the rows whose kernel column is [TRUE]. Plans compile to a
+    tree of row generators ({!t}). Each operator runs its expressions
+    as one batch over its whole input: a filter, a projection, a join
+    residual over every candidate pair ({!Relops.filter_matches}), an
+    aggregate argument per group; a nested-loops join runs one batch
+    per left row. Everything relational is {!Relops}, shared with the
+    interpreter.
 
     Observable behaviour matches {!Eval} exactly — values, three-valued
     logic, and errors: kernels track a per-row first-error slot,

@@ -221,70 +221,196 @@ let rec random_scalar g depth : Relalg.Scalar.t =
     | _ -> S.IsNotNull (sub ())
 
 (* The batch kernels are the batch path's one evaluator for the scalar
-   language: a whole batch at a time, with unboxed fast paths, selection
-   transformers and per-batch CSE underneath. They must agree with the
-   interpreter's [Eval] on values *and* on errors — same message, and
-   the lowest erroring row's message (what a sequential scan would have
-   raised). *)
+   language: a whole batch at a time, with an unboxed float path and
+   per-batch CSE underneath. They must agree with the interpreter's
+   [Eval] on values *and* on errors — same message, and the lowest
+   erroring row's message (what a sequential scan would have raised). *)
+let batch_agrees e rows =
+  let attempt f = try Ok (f ()) with Invalid_argument m -> Error m in
+  let by_row =
+    Array.map
+      (fun row ->
+        let env id =
+          if Relalg.Ident.equal id scalar_cols.(0) then row.(0) else row.(1)
+        in
+        attempt (fun () -> Executor.Eval.scalar env e))
+      rows
+  in
+  let kernel = Executor.Batch.scalar scalar_cols e in
+  (match
+     ( attempt (fun () -> Executor.Batch.eval_column kernel rows),
+       Array.find_opt Result.is_error by_row )
+   with
+  | Ok col, None ->
+    Array.iteri
+      (fun i v ->
+        let want = Result.get_ok by_row.(i) in
+        if Value.compare_total want v <> 0 then
+          QCheck.Test.fail_reportf "batch %s vs row %s at %d on %s"
+            (Value.to_sql v) (Value.to_sql want) i
+            (Relalg.Scalar.to_sql e))
+      col
+  | Ok _, Some (Error m) ->
+    QCheck.Test.fail_reportf "batch succeeded, rows fail with %s on %s" m
+      (Relalg.Scalar.to_sql e)
+  | Error m, None ->
+    QCheck.Test.fail_reportf "batch failed with %s, rows succeed on %s" m
+      (Relalg.Scalar.to_sql e)
+  | Error got, Some (Error want) ->
+    (* the batch error must be the *first* erroring row's *)
+    if got <> want then
+      QCheck.Test.fail_reportf "batch error %S, first row error %S on %s" got
+        want (Relalg.Scalar.to_sql e)
+  | _, Some (Ok _) -> assert false);
+  (* ...and batch size must be invisible: a one-row batch per row gives
+     the same column (or the same per-row error). *)
+  Array.iteri
+    (fun i row ->
+      let single =
+        attempt (fun () -> Executor.Batch.eval_column kernel [| row |])
+      in
+      match (by_row.(i), single) with
+      | Ok a, Ok [| b |] when Value.compare_total a b = 0 -> ()
+      | Error a, Error b when a = b -> ()
+      | _ ->
+        QCheck.Test.fail_reportf "singleton batch differs at row %d on %s" i
+          (Relalg.Scalar.to_sql e))
+    rows;
+  true
+
 let prop_batch_scalar_agrees =
   QCheck.Test.make
     ~name:"batch kernels agree with Eval.scalar (values and errors)" ~count:500
     seed_arb (fun seed ->
       let g = Prng.create seed in
       let e = random_scalar g 4 in
-      let rows =
-        Array.init 8 (fun _ -> [| random_value g; random_value g |])
+      batch_agrees e (Array.init 8 (fun _ -> [| random_value g; random_value g |])))
+
+(* Float-only mode: with six value kinds above, an 8-row column is
+   all-float with probability (1/6)^8, so whole batches almost never
+   reach the unboxed evaluator. Here every column is NULL-free float,
+   with 0.0 among the values (divisions hit zero and NULL out), and the
+   arithmetic trees are built from a pool of earlier subtrees, so
+   repeated occurrences hit the per-batch CSE memo. Comparisons, and
+   nested AND/OR of comparisons over the same trees, evaluate some of
+   them under a narrowed selection first and a wider one later. *)
+let random_float g = if Prng.chance g 0.25 then 0.0 else Prng.float g 4.0 -. 2.0
+
+let random_float_scalar g : Relalg.Scalar.t =
+  let module S = Relalg.Scalar in
+  let leaf () =
+    if Prng.chance g 0.2 then S.Const (Value.Float (random_float g))
+    else S.col (Prng.pick_arr g scalar_cols)
+  in
+  let pool = ref [ leaf (); leaf (); leaf () ] in
+  for _ = 1 to 3 + Prng.int g 6 do
+    let pick () = Prng.pick g !pool in
+    let e =
+      if Prng.chance g 0.15 then S.Neg (pick ())
+      else S.Arith (Prng.pick g [ S.Add; S.Sub; S.Mul; S.Div ], pick (), pick ())
+    in
+    pool := e :: !pool
+  done;
+  let cmp () =
+    S.Cmp
+      ( Prng.pick g [ S.Eq; S.Ne; S.Lt; S.Le; S.Gt; S.Ge ],
+        Prng.pick g !pool,
+        Prng.pick g !pool )
+  in
+  let rec pred depth =
+    if depth = 0 || Prng.chance g 0.3 then cmp ()
+    else if Prng.bool g then S.And (pred (depth - 1), pred (depth - 1))
+    else S.Or (pred (depth - 1), pred (depth - 1))
+  in
+  if Prng.chance g 0.25 then List.hd !pool else pred 2
+
+let prop_batch_float_agrees =
+  QCheck.Test.make
+    ~name:"unboxed float batches agree with Eval.scalar" ~count:500 seed_arb
+    (fun seed ->
+      let g = Prng.create seed in
+      let e = random_float_scalar g in
+      batch_agrees e
+        (Array.init 8 (fun _ ->
+             [| Value.Float (random_float g); Value.Float (random_float g) |])))
+
+(* Random predicates as filters, over a small typed table p(i INT, f
+   DOUBLE, s VARCHAR), every column nullable: as a [FilterOp] and as a
+   nested-loops join predicate of p against itself. The batch path must
+   keep the same rows in the same order as the interpreter, or fail with
+   the same message — type errors (NOT over a string, an int compared
+   with a string) included. A random expression's two columns are
+   mapped onto table columns; some tables carry no NULL, so float
+   arithmetic over [f] takes the unboxed path. *)
+let filter_catalog g =
+  let open Schema in
+  let nulls = Prng.pick g [ 0.0; 0.2 ] in
+  let value v = if Prng.chance g nulls then Value.Null else v in
+  let rows =
+    Array.init 6 (fun _ ->
+        [| value (Value.Int (Prng.int_in g (-3) 3));
+           value (Value.Float (random_float g));
+           value (Value.Str (Prng.pick g [ "x"; "y" ])) |])
+  in
+  Catalog.of_tables
+    [ Table.create
+        (make "p"
+           [ column ~nullable:true "i" Datatype.TInt;
+             column ~nullable:true "f" Datatype.TFloat;
+             column ~nullable:true "s" Datatype.TString ])
+        rows ]
+
+let prop_filters_agree =
+  QCheck.Test.make
+    ~name:"random predicates filter alike in both executors" ~count:300
+    seed_arb (fun seed ->
+      let module P = Optimizer.Physical in
+      let g = Prng.create seed in
+      let fcat = filter_catalog g in
+      let e = random_scalar g 4 in
+      let column alias = Relalg.Ident.make alias (Prng.pick g [ "i"; "f"; "s" ]) in
+      let onto x y =
+        Relalg.Scalar.rename
+          (fun id -> if Relalg.Ident.equal id scalar_cols.(0) then x else y)
+          e
       in
-      let attempt f = try Ok (f ()) with Invalid_argument m -> Error m in
-      let by_row =
-        Array.map
-          (fun row ->
-            let env id =
-              if Relalg.Ident.equal id scalar_cols.(0) then row.(0)
-              else row.(1)
-            in
-            attempt (fun () -> Executor.Eval.scalar env e))
-          rows
+      let scan alias = P.TableScan { table = "p"; alias } in
+      let plans =
+        [ P.FilterOp { pred = onto (column "l") (column "l"); child = scan "l" };
+          P.NestedLoopsJoin
+            { kind =
+                Prng.pick g
+                  L.[ Inner; LeftOuter; RightOuter; FullOuter; Semi; AntiSemi ];
+              pred = onto (column "l") (column "r");
+              left = scan "l";
+              right = scan "r" } ]
       in
-      let kernel = Executor.Batch.scalar scalar_cols e in
-      (match
-         ( attempt (fun () -> Executor.Batch.eval_column kernel rows),
-           Array.find_opt Result.is_error by_row )
-       with
-      | Ok col, None ->
-        Array.iteri
-          (fun i v ->
-            let want = Result.get_ok by_row.(i) in
-            if Value.compare_total want v <> 0 then
-              QCheck.Test.fail_reportf "batch %s vs row %s at %d on %s"
-                (Value.to_sql v) (Value.to_sql want) i
-                (Relalg.Scalar.to_sql e))
-          col
-      | Ok _, Some (Error m) ->
-        QCheck.Test.fail_reportf "batch succeeded, rows fail with %s on %s" m
-          (Relalg.Scalar.to_sql e)
-      | Error m, None ->
-        QCheck.Test.fail_reportf "batch failed with %s, rows succeed on %s" m
-          (Relalg.Scalar.to_sql e)
-      | Error got, Some (Error want) ->
-        (* the batch error must be the *first* erroring row's *)
-        if got <> want then
-          QCheck.Test.fail_reportf "batch error %S, first row error %S on %s"
-            got want (Relalg.Scalar.to_sql e)
-      | _, Some (Ok _) -> assert false);
-      (* ...and batch size must be invisible: a one-row batch per row
-         gives the same column (or the same per-row error). *)
-      Array.iteri
-        (fun i row ->
-          let single = attempt (fun () -> Executor.Batch.eval_column kernel [| row |]) in
-          match (by_row.(i), single) with
-          | Ok a, Ok [| b |] when Value.compare_total a b = 0 -> ()
-          | Error a, Error b when a = b -> ()
-          | _ ->
-            QCheck.Test.fail_reportf "singleton batch differs at row %d on %s"
-              i (Relalg.Scalar.to_sql e))
-        rows;
-      true)
+      let same_rows a b =
+        let ra = Executor.Resultset.rows a and rb = Executor.Resultset.rows b in
+        Array.length ra = Array.length rb
+        && Array.for_all2
+             (fun x y -> Array.for_all2 (fun u v -> Value.compare_total u v = 0) x y)
+             ra rb
+      in
+      List.for_all
+        (fun plan ->
+          match
+            (Executor.Exec.run fcat plan, Executor.Exec.run_interpreted fcat plan)
+          with
+          | Ok a, Ok b ->
+            same_rows a b
+            || QCheck.Test.fail_reportf "rows differ on %s" (P.to_string plan)
+          | Error a, Error b ->
+            a = b
+            || QCheck.Test.fail_reportf "batch error %S, interpreter %S on %s" a
+                 b (P.to_string plan)
+          | Error a, Ok _ ->
+            QCheck.Test.fail_reportf "batch failed with %s on %s" a
+              (P.to_string plan)
+          | Ok _, Error b ->
+            QCheck.Test.fail_reportf "interpreter failed with %s on %s" b
+              (P.to_string plan))
+        plans)
 
 (* Whole-plan differential check: compiled execution vs the row-at-a-time
    interpreter on optimized random queries. *)
@@ -492,6 +618,8 @@ let suite =
         to_alco prop_plan_columns_match_schema;
         to_alco prop_rule_off_same_results;
         to_alco prop_batch_scalar_agrees;
+        to_alco prop_batch_float_agrees;
+        to_alco prop_filters_agree;
         to_alco prop_compiled_plan_agrees;
         to_alco prop_refresh_labels_disjoint;
         to_alco prop_pad_grows;
