@@ -144,10 +144,12 @@ let make_agg (column : Relalg.Scalar.t -> Value.t array array -> Value.t array)
       else Value.Float (!total /. float_of_int !count)
 
 (* Hash grouping in first-appearance order of the keys; members keep
-   input order. *)
+   input order. This table and the ones below are sized from their
+   input's length: grown from a small start, a table of n keys rehashes
+   every key about log n times. *)
 let hash_groups kidx (rows : Value.t array array) :
     (Value.t array * Value.t array array) array =
-  let table : Value.t array Vec.t RowTbl.t = RowTbl.create 64 in
+  let table : Value.t array Vec.t RowTbl.t = RowTbl.create (Array.length rows) in
   let order = Vec.create () in
   Array.iter
     (fun row ->
@@ -292,7 +294,7 @@ let filter_matches keep (larr : Value.t array array) (rarr : Value.t array array
    order. *)
 let hash_matches ~lidx ~ridx (larr : Value.t array array)
     (rarr : Value.t array array) =
-  let table : int list ref RowTbl.t = RowTbl.create 64 in
+  let table : int list ref RowTbl.t = RowTbl.create (Array.length rarr) in
   Array.iteri
     (fun ri rrow ->
       let key = extract_key ridx rrow in
@@ -357,7 +359,7 @@ let merge_matches ~lidx ~ridx (larr : Value.t array array)
 (* ------------------------------------------------------------------ *)
 
 let distinct_rows rows =
-  let seen = RowTbl.create 64 in
+  let seen = RowTbl.create (Array.length rows) in
   filter_rows
     (fun row ->
       if RowTbl.mem seen row then false
@@ -368,7 +370,7 @@ let distinct_rows rows =
     rows
 
 let row_set rows =
-  let set = RowTbl.create 64 in
+  let set = RowTbl.create (Array.length rows) in
   Array.iter (fun row -> RowTbl.replace set row ()) rows;
   set
 
