@@ -38,6 +38,12 @@ let now () = Obs.Clock.now_s ()
 let header title = Printf.printf "\n=== %s ===\n%!" title
 let hr () = print_endline (String.make 72 '-')
 
+(* The upper median; 0 for no samples. *)
+let median xs =
+  match List.sort compare xs with
+  | [] -> 0.0
+  | l -> List.nth l (List.length l / 2)
+
 (* Results accumulated for --json: per-experiment wall time, plus the
    detail objects some experiments publish (speedups, optimizer-call
    counts). Written to BENCH_results.json at exit. *)
@@ -546,11 +552,6 @@ let reduce_bench () =
       (fun (o, r, _, _) -> float_of_int (o - r) /. float_of_int (max 1 o))
       !all_shrink
   in
-  let median xs =
-    match List.sort compare xs with
-    | [] -> 0.0
-    | l -> List.nth l (List.length l / 2)
-  in
   Printf.printf "  %d reproducers; median node shrink %.0f%%\n"
     (List.length shrinks)
     (100.0 *. median shrinks);
@@ -730,7 +731,7 @@ let explore_bench () =
         Obs.Profile.disable ();
         on /. Float.max 1e-9 off)
   in
-  let overhead = List.nth (List.sort compare ratios) (overhead_reps / 2) -. 1.0 in
+  let overhead = median ratios -. 1.0 in
   let overhead_ok = overhead <= max_profile_overhead in
   Printf.printf "  profiler overhead       %+6.1f%%  (bound %.0f%%: %b)\n"
     (100.0 *. overhead) (100.0 *. max_profile_overhead) overhead_ok;
@@ -817,6 +818,19 @@ let matrix_bench ~full ~disk =
          ("edge_cost_sum_per_edge", Obs.Json.Float per_total);
          ("edge_cost_sum_shared", Obs.Json.Float sh_total) ])
 
+let warm_reps = 9
+
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    Sys.mkdir dst 0o755;
+    Array.iter
+      (fun f -> copy_tree (Filename.concat src f) (Filename.concat dst f))
+      (Sys.readdir src)
+  end
+  else
+    Out_channel.with_open_bin dst (fun oc ->
+        Out_channel.output_string oc (In_channel.with_open_bin src In_channel.input_all))
+
 (* Incremental maintenance: a cold pipeline run persists the suite
    manifest; one rule is then "edited" (behavior-preserving fingerprint
    bump) and the incremental rebuild — which regenerates only the
@@ -869,7 +883,18 @@ let incremental_bench ~full () =
   in
   let dir = fresh_dir () in
   let cold_s, _, _, _ = run ~dir base_registry in
-  let warm_s, w_suite, w_sol, r = run ~dir edited_registry in
+  (* A warm rebuild rewrites the manifest it read, so each repetition
+     starts from its own copy of the cold build's directory. One warm
+     rebuild takes a few milliseconds; the median of nine keeps the
+     speedup's denominator from swinging with a single timing. *)
+  let warm_runs =
+    List.init warm_reps (fun _ ->
+        let copy = fresh_dir () in
+        copy_tree dir copy;
+        run ~dir:copy edited_registry)
+  in
+  let warm_s = median (List.map (fun (s, _, _, _) -> s) warm_runs) in
+  let _, w_suite, w_sol, r = List.hd warm_runs in
   (* ground truth: a cold rebuild with the same edited registry *)
   let ref_s, c_suite, c_sol, _ = run ~dir:(fresh_dir ()) edited_registry in
   let identical =

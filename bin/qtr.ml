@@ -353,6 +353,18 @@ let print_pool_utilization () =
             (u.wu_wall /. 1e9))
       rows
 
+let global_counter name =
+  match
+    List.find_map
+      (fun (n, l, v) -> if n = name && l = None then Some v else None)
+      (Obs.Metrics.snapshot ())
+  with
+  | Some (Obs.Metrics.Counter c) -> c
+  | _ -> 0
+
+let global_gauge name =
+  match Obs.Metrics.find name with Some (Obs.Metrics.Gauge g) -> g | _ -> 0.
+
 let print_cache_attribution () =
   match cache_attribution () with
   | [] -> ()
@@ -365,16 +377,16 @@ let print_cache_attribution () =
         rows
     in
     Printf.printf "result cache by site (hits/lookups): %s\n"
-      (String.concat " | " cells)
-
-let global_counter name =
-  match
-    List.find_map
-      (fun (n, l, v) -> if n = name && l = None then Some v else None)
-      (Obs.Metrics.snapshot ())
-  with
-  | Some (Obs.Metrics.Counter c) -> c
-  | _ -> 0
+      (String.concat " | " cells);
+    let hits = global_counter "executor.subplan_memo.hits" in
+    let lookups = hits + global_counter "executor.subplan_memo.misses" in
+    if lookups > 0 then
+      Printf.printf
+        "subplan memo (hits/lookups): %d/%d (%.0f%%) | %d reset(s) | %.1f MiB stored\n"
+        hits lookups
+        (pct (float_of_int hits) (float_of_int lookups))
+        (global_counter "executor.subplan_memo.resets")
+        (global_gauge "executor.subplan_memo.bytes" /. 1048576.)
 
 (* Warm-start traffic: the result-cache disk tier plus the spilled
    edge-cost matrix. Silent when no --cache-dir was given (all zeros). *)
@@ -428,6 +440,14 @@ let cache_attribution_json () =
              ("hits", Obs.Json.Int h);
              ("misses", Obs.Json.Int m) ])
        (cache_attribution ()))
+
+let subplan_memo_json () =
+  Obs.Json.Obj
+    [ ("hits", Obs.Json.Int (global_counter "executor.subplan_memo.hits"));
+      ("misses", Obs.Json.Int (global_counter "executor.subplan_memo.misses"));
+      ("resets", Obs.Json.Int (global_counter "executor.subplan_memo.resets"));
+      ( "bytes",
+        Obs.Json.Int (int_of_float (global_gauge "executor.subplan_memo.bytes")) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* qtr rules                                                           *)
@@ -1388,6 +1408,7 @@ let report_cmd =
                 ("profile", Obs.Profile.to_json ());
                 ("pool", pool_utilization_json ());
                 ("result_cache", cache_attribution_json ());
+                ("subplan_memo", subplan_memo_json ());
                 ("disk_cache", disk_cache_json ());
                 ("metrics", Obs.Report.metrics_json ()) ]))
     else begin

@@ -536,8 +536,14 @@ let residual_filter cols r =
   if S.equal r S.true_ then fun _ _ candidates -> candidates
   else Relops.filter_matches (keep (scalar cols r))
 
-let rec node catalog (p : P.t) : t =
-  let sub = node catalog in
+type memo = P.t -> (unit -> Value.t array array) -> Value.t array array
+
+(* Every operator runs inside its own [exec.batch.<op>] span, so a
+   profile attributes self time per operator kind. Below the root, a
+   non-scan operator asks [memo] for its rows before running (a scan's
+   rows are its table's own array). *)
+let rec node ?memo ~root catalog (p : P.t) : t =
+  let sub = node ?memo ~root:false catalog in
   let compiled =
     match p with
     | P.TableScan { table; alias } -> (
@@ -657,15 +663,20 @@ let rec node catalog (p : P.t) : t =
   in
   let rows_c = Obs.Metrics.counter ~label:(P.op_name p) "exec.rows" in
   let ops_c = Obs.Metrics.counter ~label:(P.op_name p) "exec.operators" in
-  { compiled with
-    gen =
-      (fun () ->
-        let rows = compiled.gen () in
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.add rows_c (Array.length rows);
-          Obs.Metrics.incr ops_c
-        end;
-        rows) }
+  let span = "exec.batch." ^ P.op_name p in
+  let run () =
+    Obs.Trace.with_span span @@ fun () ->
+    let rows = compiled.gen () in
+    if Obs.Metrics.enabled () then begin
+      Obs.Metrics.add rows_c (Array.length rows);
+      Obs.Metrics.incr ops_c
+    end;
+    rows
+  in
+  match (memo, p) with
+  | None, _ | _, P.TableScan _ -> { compiled with gen = run }
+  | Some _, _ when root -> { compiled with gen = run }
+  | Some m, _ -> { compiled with gen = (fun () -> m p run) }
 
 (* Aggregation: each aggregate argument compiles to one kernel, and
    every group's members are one batch ([Relops.make_agg] folds the
@@ -688,4 +699,4 @@ and node_agg c keys aggs group =
         in
         Relops.grouped_rows agg_fns groups) }
 
-let plan = node
+let plan ?memo catalog p = node ?memo ~root:true catalog p

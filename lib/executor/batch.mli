@@ -52,9 +52,20 @@ type t = { cols : Relalg.Ident.t array; gen : unit -> Value.t array array }
     raising {!Relops.Exec_error} or [Invalid_argument] only for
     value-dependent failures. *)
 
-val plan : Storage.Catalog.t -> Optimizer.Physical.t -> t
+type memo =
+  Optimizer.Physical.t -> (unit -> Value.t array array) -> Value.t array array
+(** A subplan lookup: [memo p run] returns the rows of subplan [p],
+    either stored ones or those of [run ()]. It must return what
+    [run ()] would, and let [run]'s exceptions through. *)
+
+val plan : ?memo:memo -> Storage.Catalog.t -> Optimizer.Physical.t -> t
 (** Compile a plan to batch kernels, reporting every static error
     (unknown table or column, set-operation arity mismatch) as
-    {!Compile_error} before any row is produced. Each operator
-    feeds the [exec.rows]/[exec.operators] counters, labelled by
-    {!Optimizer.Physical.op_name}. *)
+    {!Compile_error} before any row is produced. Each operator runs in
+    an [exec.batch.<op>] trace span and feeds the
+    [exec.rows]/[exec.operators] counters, labelled by
+    {!Optimizer.Physical.op_name}. With [memo], every operator below
+    the root except a table scan gets its rows through it; an operator
+    served stored rows runs nothing below it, so it and its subtree
+    count no [exec.rows]. Rows handed out are never mutated by any
+    operator, which is what makes serving them twice safe. *)

@@ -22,19 +22,29 @@ module PTbl = Optimizer.Physical.Tbl
    wrong result. The disk tier is configured once at startup, before
    any worker domains spawn. *)
 
+(* Subplan entries ([Batch.memo]) hand one row array to every later
+   consumer. That is sound only because no operator mutates the rows it
+   is given ([Sort] copies, [Resultset.normalized] sorts a copy). *)
 type store = {
   mutable catalog : Storage.Catalog.t option;
-  tbl : (Resultset.t, string) result PTbl.t;
+  plans : (Resultset.t, string) result PTbl.t;
+  subplans : Storage.Value.t array array PTbl.t;
+  mutable bytes : int;
 }
 
 let key =
-  Domain.DLS.new_key (fun () -> { catalog = None; tbl = PTbl.create 256 })
+  Domain.DLS.new_key (fun () ->
+      { catalog = None; plans = PTbl.create 256; subplans = PTbl.create 256; bytes = 0 })
 
 let hits_c = Obs.Metrics.counter "executor.result_cache.hits"
 let miss_c = Obs.Metrics.counter "executor.result_cache.misses"
 let disk_hit_c = Obs.Metrics.counter "executor.result_cache.disk_hits"
 let disk_miss_c = Obs.Metrics.counter "executor.result_cache.disk_misses"
 let disk_store_c = Obs.Metrics.counter "executor.result_cache.disk_stores"
+let memo_hit_c = Obs.Metrics.counter "executor.subplan_memo.hits"
+let memo_miss_c = Obs.Metrics.counter "executor.subplan_memo.misses"
+let memo_reset_c = Obs.Metrics.counter "executor.subplan_memo.resets"
+let bytes_g = Obs.Metrics.gauge "executor.subplan_memo.bytes"
 
 (* Per-site attribution: the same totals, additionally keyed by which
    caller asked (validate vs triage-oracle vs replay ...), so `qtr
@@ -44,9 +54,55 @@ let disk_store_c = Obs.Metrics.counter "executor.result_cache.disk_stores"
 let site_hit site = Obs.Metrics.counter ~label:site "executor.result_cache.hits"
 let site_miss site = Obs.Metrics.counter ~label:site "executor.result_cache.misses"
 
-(* Safety valve against unbounded growth in very long sessions; far
-   above what a validate or reduce run touches. *)
-let max_entries = 8192
+(* Once the estimated size of every stored row would pass it, the store
+   starts over. Unbounded, the memo peaks at 75 MB on the fault-hunt
+   perfbench workload. At this bound it resets once there and keeps
+   every hit. Of the bounds tried (24 to 128 MiB), it gave the lowest
+   peak RSS on seeds 1 to 3. Peak RSS is not monotone in the bound: at
+   64 MiB it read 12 MB above the parent's. *)
+let max_bytes = 40 lsl 20
+
+let word = Sys.word_size / 8
+
+(* Estimated heap bytes of a row array: per row, its slot in the array,
+   its header and one cell per column. Values are mostly shared with the
+   catalog's tables and are not counted. *)
+let rows_bytes rows =
+  match rows with
+  | [||] -> 0
+  | _ -> Array.length rows * (Array.length rows.(0) + 2) * word
+
+(* A whole-plan result also holds its normalized copy. *)
+let result_bytes = function
+  | Ok rs -> rows_bytes (Resultset.rows rs) + (Resultset.row_count rs * word)
+  | Error msg -> String.length msg
+
+let reset s =
+  PTbl.reset s.plans;
+  PTbl.reset s.subplans;
+  s.bytes <- 0;
+  Obs.Metrics.gauge_set bytes_g 0.
+
+let reserve s bytes =
+  if s.bytes + bytes > max_bytes then begin
+    reset s;
+    Obs.Metrics.incr memo_reset_c
+  end;
+  s.bytes <- s.bytes + bytes;
+  Obs.Metrics.gauge_set bytes_g (float_of_int s.bytes)
+
+let memo s : Batch.memo =
+ fun plan run ->
+  match PTbl.find_opt s.subplans plan with
+  | Some rows ->
+    Obs.Metrics.incr memo_hit_c;
+    rows
+  | None ->
+    Obs.Metrics.incr memo_miss_c;
+    let rows = run () in
+    reserve s (rows_bytes rows);
+    PTbl.add s.subplans plan rows;
+    rows
 
 let disk_ns = "results"
 
@@ -88,9 +144,9 @@ let run ?(site = "adhoc") catalog plan =
   (match s.catalog with
   | Some c when c == catalog -> ()
   | _ ->
-    PTbl.reset s.tbl;
+    reset s;
     s.catalog <- Some catalog);
-  match PTbl.find_opt s.tbl plan with
+  match PTbl.find_opt s.plans plan with
   | Some r ->
     Obs.Metrics.incr hits_c;
     Obs.Metrics.incr (site_hit site);
@@ -101,7 +157,7 @@ let run ?(site = "adhoc") catalog plan =
     let r, from_disk =
       match disk_load plan with
       | Some r -> (r, true)
-      | None -> (Exec.run catalog plan, false)
+      | None -> (Exec.run ~memo:(memo s) catalog plan, false)
     in
     (* Pre-sort on the owning domain so a cached result handed to later
        bag comparisons is already normalized (and never mutated by a
@@ -110,11 +166,11 @@ let run ?(site = "adhoc") catalog plan =
     | Ok rs -> ignore (Resultset.normalized rs)
     | Error _ -> ());
     if not from_disk then disk_store plan r;
-    if PTbl.length s.tbl >= max_entries then PTbl.reset s.tbl;
-    PTbl.add s.tbl plan r;
+    reserve s (result_bytes r);
+    PTbl.add s.plans plan r;
     r
 
 let clear () =
   let s = Domain.DLS.get key in
-  PTbl.reset s.tbl;
+  reset s;
   s.catalog <- None

@@ -198,9 +198,9 @@ let rps_g = Obs.Metrics.gauge "executor.rows_per_sec"
 let materialize (b : Batch.t) = RS.make b.cols (b.gen ())
 
 (* Columnar batch kernels ([Batch]), one batch per operator. *)
-let run catalog plan =
+let run ?memo catalog plan =
   Obs.Trace.with_span "exec.batch" @@ fun () ->
-  let compile () = Batch.plan catalog plan in
+  let compile () = Batch.plan ?memo catalog plan in
   try
     if Obs.Metrics.enabled () then begin
       let t0 = Obs.Clock.now_ns () in

@@ -14,11 +14,13 @@
     differentially tested and benchmarked against. *)
 
 val run :
+  ?memo:Batch.memo ->
   Storage.Catalog.t ->
   Optimizer.Physical.t ->
   (Resultset.t, string) result
 (** Compile then execute, bottom-up and materializing, via the columnar
-    batch path ({!Batch}). Fails (rather than raising) on unknown
+    batch path ({!Batch}); [memo] serves subplans ({!Batch.plan}), and
+    only {!Cache.run} passes one. Fails (rather than raising) on unknown
     tables/columns, arity mismatches — reported at compile time, before
     any row is produced — and on row-time type errors. When metrics are
     enabled, records

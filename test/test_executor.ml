@@ -467,6 +467,19 @@ let test_result_cache_disk () =
       let cold = Result.get_ok (Executor.Exec.run cat plan) in
       check bool_t "disk hit matches cold run" true (RS.equal_bag r2 cold))
 
+(* [cat]'s schema with other contents. *)
+let cat2 =
+  let open Schema in
+  let lt =
+    make "l" [ column ~nullable:true "k" Datatype.TInt; column "v" Datatype.TString ]
+  in
+  let rt =
+    make "r" [ column ~nullable:true "k" Datatype.TInt; column "w" Datatype.TString ]
+  in
+  Catalog.of_tables
+    [ Table.create lt [| [| Value.Int 7; Value.Str "q" |] |];
+      Table.create rt [| [| Value.Int 7; Value.Str "r" |] |] ]
+
 let test_result_cache () =
   Executor.Cache.clear ();
   let plan = nlj L.Inner in
@@ -476,22 +489,119 @@ let test_result_cache () =
   let cold = Result.get_ok (Executor.Exec.run cat plan) in
   check bool_t "hit is bag-identical to a cold run" true (RS.equal_bag r2 cold);
   (* A different catalog invalidates: same structural plan, other data. *)
-  let cat2 =
-    let open Schema in
-    let lt =
-      make "l" [ column ~nullable:true "k" Datatype.TInt; column "v" Datatype.TString ]
-    in
-    let rt =
-      make "r" [ column ~nullable:true "k" Datatype.TInt; column "w" Datatype.TString ]
-    in
-    Catalog.of_tables
-      [ Table.create lt [| [| Value.Int 7; Value.Str "q" |] |];
-        Table.create rt [| [| Value.Int 7; Value.Str "r" |] |] ]
-  in
   let other = Result.get_ok (Executor.Cache.run cat2 plan) in
   check bool_t "catalog change misses" true (not (RS.equal_bag other r2));
   check int_t "fresh catalog result" 1 (RS.row_count other);
   Executor.Cache.clear ()
+
+(* Run [f] with metrics on; returns how far [counter] moved. *)
+let counted counter f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  let c = Obs.Metrics.counter counter in
+  let before = Obs.Metrics.counter_value c in
+  f ();
+  Obs.Metrics.counter_value c - before
+
+let memo_hits f =
+  counted "executor.subplan_memo.hits" (fun () ->
+      List.iter (fun (c, p) -> ignore (Executor.Cache.run c p)) f)
+
+(* The subplan memo behind the result cache: a subtree shared by two
+   plans runs once, and no entry outlives [Cache.clear] or a switch of
+   catalog. *)
+let test_subplan_memo_lifetime () =
+  Fun.protect ~finally:Executor.Cache.clear @@ fun () ->
+  let shared = hj L.Inner in
+  let sorted = P.SortOp { keys = [ (lk, L.Desc) ]; child = shared } in
+  let distinct = P.HashDistinct shared in
+  Executor.Cache.clear ();
+  check int_t "first plan fills the memo" 0 (memo_hits [ (cat, sorted) ]);
+  check int_t "second plan is served the shared join" 1
+    (memo_hits [ (cat, distinct) ]);
+  Executor.Cache.clear ();
+  check int_t "nothing survives clear" 0 (memo_hits [ (cat, sorted) ]);
+  check int_t "nothing survives a catalog switch" 0 (memo_hits [ (cat2, distinct) ]);
+  check bool_t "other catalog, own rows" true
+    (RS.equal_bag
+       (Result.get_ok (Executor.Cache.run cat2 distinct))
+       (Result.get_ok (Executor.Exec.run_interpreted cat2 distinct)));
+  check int_t "nor a switch back" 0 (memo_hits [ (cat, distinct) ])
+
+(* A wide table concatenated onto itself level by level: the deepest
+   subplan alone nearly fills the memo's byte bound, so one run
+   overflows it and the store starts over mid-plan. Results stay those
+   of the interpreter, and the store never holds more than its bound. *)
+let test_subplan_memo_overflow () =
+  Fun.protect ~finally:Executor.Cache.clear @@ fun () ->
+  let arity = 100 and n = 5000 in
+  let wide =
+    let cols = List.init arity (fun i -> Schema.column (Printf.sprintf "c%d" i) Datatype.TInt) in
+    Catalog.of_tables
+      [ Table.create (Schema.make "w" cols)
+          (Array.init n (fun i -> Array.init arity (fun j -> Value.Int (i + j)))) ]
+  in
+  let scan = P.TableScan { table = "w"; alias = "w" } in
+  let levels = (Executor.Cache.max_bytes / (n * arity * 8)) - 1 in
+  let rec concat k = if k = 0 then scan else P.Concat (concat (k - 1), scan) in
+  let deep = concat levels in
+  let plans =
+    [ P.LimitOp { count = 3; child = deep };
+      P.LimitOp { count = 7; child = P.Concat (deep, scan) } ]
+  in
+  let resets =
+    counted "executor.subplan_memo.resets" (fun () ->
+        List.iter
+          (fun p ->
+            let got = Result.get_ok (Executor.Cache.run wide p) in
+            check bool_t "interpreter's rows" true
+              (RS.equal_bag got (Result.get_ok (Executor.Exec.run_interpreted wide p)));
+            check bool_t "within the bound" true
+              (Obs.Metrics.gauge_value (Obs.Metrics.gauge "executor.subplan_memo.bytes")
+              <= float_of_int Executor.Cache.max_bytes))
+          plans)
+  in
+  check bool_t "the bound reset the store" true (resets > 0)
+
+(* Stored rows are shared with every consumer: no operator may mutate a
+   row array it is handed (a sort copies it, [Resultset.normalized]
+   sorts a copy). A recording memo serves each subplan's rows and keeps
+   a copy; after the plans ran and their results were normalized, every
+   served array still holds the same rows with the same cells. *)
+let test_memo_rows_immutable () =
+  let served = ref [] in
+  let store = P.Tbl.create 16 in
+  let memo p run =
+    match P.Tbl.find_opt store p with
+    | Some rows -> rows
+    | None ->
+      let rows = run () in
+      P.Tbl.add store p rows;
+      served := (rows, Array.map Array.copy rows) :: !served;
+      rows
+  in
+  let shared = hj L.FullOuter in
+  let sort dir child = P.SortOp { keys = [ (lk, dir) ]; child } in
+  let plans =
+    [ P.Concat
+        ( sort L.Desc (P.HashDistinct (P.FilterOp { pred = S.true_; child = shared })),
+          P.Concat (P.LimitOp { count = 2; child = shared }, sort L.Asc shared) );
+      P.HashAggregate { keys = []; aggs = [ (Ident.make "a" "n", A.CountStar) ]; child = shared };
+      P.NestedLoopsJoin
+        { kind = L.Semi; pred = join_pred; left = sort L.Desc scan_l; right = scan_r };
+      P.HashUnion (sort L.Desc shared, shared) ]
+  in
+  List.iter
+    (fun p -> ignore (RS.normalized (Result.get_ok (Executor.Exec.run ~memo cat p))))
+    plans;
+  check bool_t "subplans were served" true (List.length !served >= 4);
+  List.iter
+    (fun (rows, copy) ->
+      check bool_t "served rows unchanged" true
+        (Array.length rows = Array.length copy
+        && Array.for_all2 (fun r c -> RS.compare_rows r c = 0) rows copy))
+    !served
 
 let suite =
   [ ( "executor.joins",
@@ -523,7 +633,13 @@ let suite =
         Alcotest.test_case "plan fingerprint" `Quick test_fingerprint;
         Alcotest.test_case "result cache" `Quick test_result_cache;
         Alcotest.test_case "result cache disk tier" `Quick
-          test_result_cache_disk ] );
+          test_result_cache_disk;
+        Alcotest.test_case "subplan memo lifetime" `Quick
+          test_subplan_memo_lifetime;
+        Alcotest.test_case "subplan memo byte bound" `Quick
+          test_subplan_memo_overflow;
+        Alcotest.test_case "served rows are never mutated" `Quick
+          test_memo_rows_immutable ] );
     ( "executor.batch",
       [ Alcotest.test_case "ordered agreement" `Quick
           test_batch_rows_identical;

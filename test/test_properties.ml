@@ -360,6 +360,26 @@ let filter_catalog g =
              column ~nullable:true "s" Datatype.TString ])
         rows ]
 
+let same_rows a b =
+  let ra = Executor.Resultset.rows a and rb = Executor.Resultset.rows b in
+  Array.length ra = Array.length rb
+  && Array.for_all2
+       (fun x y -> Array.for_all2 (fun u v -> Value.compare_total u v = 0) x y)
+       ra rb
+
+(* A batch outcome against the interpreter's: the same rows in the same
+   order, or the same message. *)
+let outcomes_agree plan batch interpreted =
+  let show = Optimizer.Physical.to_string in
+  match (batch, interpreted) with
+  | Ok a, Ok b -> same_rows a b || QCheck.Test.fail_reportf "rows differ on %s" (show plan)
+  | Error a, Error b ->
+    a = b
+    || QCheck.Test.fail_reportf "batch error %S, interpreter %S on %s" a b (show plan)
+  | Error a, Ok _ -> QCheck.Test.fail_reportf "batch failed with %s on %s" a (show plan)
+  | Ok _, Error b ->
+    QCheck.Test.fail_reportf "interpreter failed with %s on %s" b (show plan)
+
 let prop_filters_agree =
   QCheck.Test.make
     ~name:"random predicates filter alike in both executors" ~count:300
@@ -385,32 +405,78 @@ let prop_filters_agree =
               left = scan "l";
               right = scan "r" } ]
       in
-      let same_rows a b =
-        let ra = Executor.Resultset.rows a and rb = Executor.Resultset.rows b in
-        Array.length ra = Array.length rb
-        && Array.for_all2
-             (fun x y -> Array.for_all2 (fun u v -> Value.compare_total u v = 0) x y)
-             ra rb
-      in
       List.for_all
         (fun plan ->
-          match
-            (Executor.Exec.run fcat plan, Executor.Exec.run_interpreted fcat plan)
-          with
-          | Ok a, Ok b ->
-            same_rows a b
-            || QCheck.Test.fail_reportf "rows differ on %s" (P.to_string plan)
-          | Error a, Error b ->
-            a = b
-            || QCheck.Test.fail_reportf "batch error %S, interpreter %S on %s" a
-                 b (P.to_string plan)
-          | Error a, Ok _ ->
-            QCheck.Test.fail_reportf "batch failed with %s on %s" a
-              (P.to_string plan)
-          | Ok _, Error b ->
-            QCheck.Test.fail_reportf "interpreter failed with %s on %s" b
-              (P.to_string plan))
+          outcomes_agree plan (Executor.Exec.run fcat plan)
+            (Executor.Exec.run_interpreted fcat plan))
         plans)
+
+(* The subplan memo of [Executor.Cache] serves a stored row array to
+   every later plan containing that subplan, and never stores one that
+   raised. Plans here come in groups sharing a base: random unary
+   operators over [p AS l], then wrappers (another operator, a join
+   with [p AS r], a [Concat] of the base with an extension of itself).
+   Filters, projections and join predicates carry random expressions,
+   so some bases raise. Every plan of a group, the first one twice, must
+   give through the cache what the interpreter gives: the same rows in
+   the same order, or the same message. *)
+let random_shared_plans g =
+  let module P = Optimizer.Physical in
+  let module S = Relalg.Scalar in
+  let l c = Relalg.Ident.make "l" c in
+  let column alias = Relalg.Ident.make alias (Prng.pick g [ "i"; "f"; "s" ]) in
+  let expr right =
+    let e = random_scalar g 3 in
+    let x = column "l" and y = column right in
+    S.rename (fun id -> if Relalg.Ident.equal id scalar_cols.(0) then x else y) e
+  in
+  let scan alias = P.TableScan { table = "p"; alias } in
+  let unary child =
+    match Prng.int g 6 with
+    | 0 -> P.FilterOp { pred = expr "l"; child }
+    | 1 ->
+      P.ComputeScalar
+        { cols = [ (l "i", expr "l"); (l "f", S.col (l "f")); (l "s", S.col (l "s")) ];
+          child }
+    | 2 -> P.HashDistinct child
+    | 3 -> P.SortOp { keys = [ (column "l", Prng.pick g L.[ Asc; Desc ]) ]; child }
+    | 4 -> P.LimitOp { count = Prng.int g 5; child }
+    | _ ->
+      P.HashAggregate
+        { keys = [ l "s" ];
+          aggs =
+            [ (l "i", Relalg.Aggregate.Count (S.col (l "i")));
+              (l "f", Relalg.Aggregate.Sum (S.col (l "f"))) ];
+          child }
+  in
+  let rec stack n child = if n = 0 then child else stack (n - 1) (unary child) in
+  let base = stack (1 + Prng.int g 3) (scan "l") in
+  let wrap () =
+    match Prng.int g 4 with
+    | 0 -> unary base
+    | 1 ->
+      P.NestedLoopsJoin
+        { kind = Prng.pick g L.[ Inner; LeftOuter; FullOuter; Semi; AntiSemi ];
+          pred = expr "r";
+          left = base;
+          right = scan "r" }
+    | 2 -> P.Concat (base, unary base)
+    | _ -> unary (unary base)
+  in
+  let first = wrap () in
+  [ first; wrap (); first; base ]
+
+let prop_cached_subplans_agree =
+  QCheck.Test.make
+    ~name:"plans sharing subplans run through the cache as interpreted" ~count:300
+    seed_arb (fun seed ->
+      let g = Prng.create seed in
+      let fcat = filter_catalog g in
+      List.for_all
+        (fun plan ->
+          outcomes_agree plan (Executor.Cache.run fcat plan)
+            (Executor.Exec.run_interpreted fcat plan))
+        (random_shared_plans g))
 
 (* Whole-plan differential check: compiled execution vs the row-at-a-time
    interpreter on optimized random queries. *)
@@ -620,6 +686,7 @@ let suite =
         to_alco prop_batch_scalar_agrees;
         to_alco prop_batch_float_agrees;
         to_alco prop_filters_agree;
+        to_alco prop_cached_subplans_agree;
         to_alco prop_compiled_plan_agrees;
         to_alco prop_refresh_labels_disjoint;
         to_alco prop_pad_grows;
